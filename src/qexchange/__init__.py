@@ -22,6 +22,7 @@ from .qcore import (
     enumerate_level,
     inversions,
     q_binomial,
+    q_binomial_numerator,
     q_binomial_or_zero,
     q_factorial,
     q_int,
@@ -63,7 +64,6 @@ from .definetti import (
 from .bounds import (
     RateSweepConfig,
     RateViolationError,
-    WORKERS_ENV_VAR,
     fit_log_slope,
     lower_constant,
     tech_lemma_lhs_rhs,
@@ -87,7 +87,6 @@ __all__ = [
     "RateSweepConfig",
     "RateViolationError",
     "Scalar",
-    "WORKERS_ENV_VAR",
     "Word",
     "approx_error",
     "block_word",
@@ -113,6 +112,7 @@ __all__ = [
     "project_extreme_closed_form",
     "q_bernoulli",
     "q_binomial",
+    "q_binomial_numerator",
     "q_binomial_or_zero",
     "q_factorial",
     "q_int",

@@ -27,19 +27,11 @@ least-squares slope fit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .qcore import Scalar, check_q, one_like, q_binomial
 from .definetti import DistanceReport, extreme_vs_bernoulli_distance
-
-#: Environment variable controlling sweep parallelism (default: one worker
-#: per available CPU).  Grids smaller than _PARALLEL_THRESHOLD always run
-#: serially; results are identical either way because reports are sorted.
-WORKERS_ENV_VAR = "QEXCHANGE_WORKERS"
-_PARALLEL_THRESHOLD = 64
 
 
 class RateViolationError(Exception):
@@ -159,42 +151,23 @@ class RateSweepConfig:
         ]
 
 
-def _report_at(args: tuple[int, int, int, Scalar]) -> DistanceReport:
-    n, n1, k, q = args
-    distance = extreme_vs_bernoulli_distance(n, n1, k, q)
-    upper = upper_constant(k, q) * q**n
-    lower = lower_constant(k, q) * q**n if n1 >= k >= 1 else None
-    return DistanceReport(n=n, k=k, n1=n1, q=q, distance=distance, upper=upper, lower=lower)
-
-
-def _worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR)
-    if value is not None:
-        count = int(value)
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-        return count
-    return os.cpu_count() or 1
-
-
 def verify_rate(cfg: RateSweepConfig) -> list[DistanceReport]:
     """Compute a report per grid point and assert both bounds on each.
 
     Reports come back sorted by ``(n, n1)``.  The first bound failure in that
-    order raises :class:`RateViolationError`; parallel execution cannot change
-    which report that is.
+    order raises :class:`RateViolationError`.
     """
-    jobs = [(n, n1, cfg.k, cfg.q) for n, n1 in cfg.grid()]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) >= _PARALLEL_THRESHOLD:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_report_at, jobs, chunksize=8))
-        except OSError:
-            reports = [_report_at(job) for job in jobs]
-    else:
-        reports = [_report_at(job) for job in jobs]
-    reports.sort(key=lambda r: (r.n, r.n1))
+    upper_c = upper_constant(cfg.k, cfg.q)
+    lower_c = lower_constant(cfg.k, cfg.q) if cfg.k >= 1 else None
+    reports = []
+    for n, n1 in sorted(cfg.grid()):
+        q_n = cfg.q**n
+        reports.append(DistanceReport(
+            n=n, k=cfg.k, n1=n1, q=cfg.q,
+            distance=extreme_vs_bernoulli_distance(n, n1, cfg.k, cfg.q),
+            upper=upper_c * q_n,
+            lower=lower_c * q_n if n1 >= cfg.k >= 1 else None,
+        ))
     for report in reports:
         if not report.bounds_ok:
             raise RateViolationError(report, reports)

@@ -70,6 +70,15 @@ def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
     raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an ``--out`` file; an unwritable path is an input error (exit 2)."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _fmt_float(x) -> str:
     return f"{float(x):.17g}"
 
@@ -186,8 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     text = _render_sweep(reports, args.format, violation)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -226,8 +234,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     }
     print(json.dumps(record, indent=2))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(definetti.mixing_to_json(mu) + "\n")
+        _write_out(args.out, definetti.mixing_to_json(mu) + "\n")
     return 0 if passed else 1
 
 
@@ -238,8 +245,7 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
     m = measures.random_q_exch(args.n, q, args.seed)
     text = measures.measure_to_json(m) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -18,15 +18,18 @@ which equals the total variation of the two k-dimensional pushforwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import json
 
 from .qcore import (
+    EXACT,
     Scalar,
     check_q,
     one_like,
     q_binomial,
+    q_binomial_numerator,
     scalar_mode,
 )
 from .measures import (
@@ -153,6 +156,8 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Scalar) -> Scalar:
     check_q(q)
     if not (0 <= k <= n and 0 <= n1 <= n):
         raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
+    if scalar_mode(q) == EXACT:
+        return _exact_distance(n, n1, k, q)
     total = one_like(q) * 0
     for k1 in range(k + 1):
         a = project_extreme_closed_form(n, n1, k, k1, q)
@@ -161,6 +166,37 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Scalar) -> Scalar:
             continue
         total += q_binomial(k, k1, q) * abs(a - b)
     return total
+
+
+def _exact_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
+    """The level sum in integers over one common denominator ``b^E N(n, n1)``.
+
+    With ``q = a/b``, ``j = n1 - k1`` and ``N`` the integer numerators of the
+    q-binomial cache, level ``k1 <= n1`` contributes (the others vanish)
+
+        N(k, k1) a^e |N(n-k, j) b^(u+s) - P N(n, n1)| / (b^t N(n, n1))
+
+    where ``e = j (k - k1)``, ``P = prod_{i<k1} (b^(n1-i) - a^(n1-i))``,
+    ``s = sum_{i<k1} (n1 - i)``, ``u = n1 (n - n1) - j (n - k - j) >= 0`` and
+    ``t = s + k1 (k - k1) + e``.  ``N(n-k, j)`` is zero when ``j > n - k``.
+    """
+    a, b = q.numerator, q.denominator
+    whole = q_binomial_numerator(n, n1, q)
+    terms = []
+    poch, s = 1, 0
+    for k1 in range(min(k, n1) + 1):
+        j = n1 - k1
+        e = j * (k - k1)
+        extreme = 0
+        if j <= n - k:
+            u = n1 * (n - n1) - j * (n - k - j)
+            extreme = q_binomial_numerator(n - k, j, q) * b ** (u + s)
+        diff = abs(extreme - poch * whole)
+        terms.append((q_binomial_numerator(k, k1, q) * a**e * diff, s + k1 * (k - k1) + e))
+        poch *= b ** (n1 - k1) - a ** (n1 - k1)
+        s += n1 - k1
+    top = max(t for _, t in terms)
+    return Fraction(sum(x * b ** (top - t) for x, t in terms), whole * b**top)
 
 
 def approx_error(m: QExchMeasure, k: int) -> Scalar:

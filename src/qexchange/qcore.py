@@ -3,7 +3,9 @@
 Two scalar modes run through the whole package.  Exact mode uses
 ``fractions.Fraction`` end to end, so every identity in the library can be
 asserted with ``==`` and no tolerance.  Float mode uses plain ``float`` and
-exists for large sweeps where exact denominators blow up.  A value's mode is
+exists for large sweeps where exact denominators blow up.  Exact Gaussian
+binomials are cached as integer numerators over powers of the denominator of
+``q``; a ``Fraction`` is built only when an entry is read.  A value's mode is
 its type; plain ``int`` is mode-neutral.  Mixing a ``Fraction`` with a
 ``float`` is a bug, not a coercion, and raises :class:`ModeMismatchError`.
 
@@ -23,6 +25,7 @@ probability of its level, and each ascent pair costs one factor of ``q``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -218,38 +221,66 @@ def q_factorial(n: int, q: Scalar) -> Scalar:
     return result
 
 
-# Triangle rows of Gaussian binomials per q value.  Rows are built additively
-# (no division, so exact mode stays polynomial evaluation) and published by a
-# single dict assignment; a racing rebuild wastes work but never corrupts.
-_QBINOM_ROWS: dict[Scalar, list[list[Scalar]]] = {}
+# Triangle rows of Gaussian binomials, keyed by mode and q: ``0.5`` and
+# ``Fraction(1, 2)`` compare and hash alike but must not share rows.  Exact
+# rows hold the integer numerators ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))``
+# for ``q = a/b``, which obey the division-free recurrence
+# ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``; a reduced Fraction is
+# built only when ``q_binomial`` reads an entry, and that read is memoised.
+# Float rows hold floats.  Rows are only ever appended, under a lock, so a
+# reader never sees a partial row or a row at the wrong index.
+_QBINOM_ROWS: dict[tuple[str, Scalar], list[list]] = {}
+_QBINOM_READS: dict[tuple[int, int, int, int], Fraction] = {}
+_QBINOM_LOCK = threading.Lock()
 
 
-def _qbinom_rows(q: Scalar, n: int) -> list[list[Scalar]]:
-    rows = _QBINOM_ROWS.get(q)
+def _qbinom_rows(q: Scalar, n: int) -> list[list]:
+    mode = scalar_mode(q)
+    rows = _QBINOM_ROWS.get((mode, q))
     if rows is not None and len(rows) > n:
         return rows
-    one = one_like(q)
-    new_rows = [row[:] for row in rows] if rows else [[one]]
-    q_pow = [one]
+    # Float rows run the same recurrence with a = q and b = 1.
+    one, a, b = (1.0, q, 1.0) if mode == FLOAT else (1, q.numerator, q.denominator)
+    a_pow, b_pow = [one], [one]
     for _ in range(n):
-        q_pow.append(q_pow[-1] * q)
-    while len(new_rows) <= n:
-        prev = new_rows[-1]
-        r = len(new_rows)
-        row = [one]
-        for k in range(1, r):
-            row.append(q_pow[k] * prev[k] + prev[k - 1])
-        row.append(one)
-        new_rows.append(row)
-    _QBINOM_ROWS[q] = new_rows
-    return new_rows
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    with _QBINOM_LOCK:
+        rows = _QBINOM_ROWS.setdefault((mode, q), [[one]])
+        while len(rows) <= n:
+            prev = rows[-1]
+            r = len(rows)
+            row = [one]
+            for k in range(1, r):
+                row.append(a_pow[k] * prev[k] + b_pow[r - k] * prev[k - 1])
+            row.append(one)
+            rows.append(row)
+    return rows
+
+
+def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
+    """Integer ``N`` with ``[n, k]_q = N / b^(k(n-k))`` for ``q = a/b`` in
+    lowest terms: the exact cache entry itself, with no Fraction built."""
+    if k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if isinstance(q, float):
+        raise TypeError(f"integer numerators need an exact q, got {q!r}")
+    return _qbinom_rows(q, n)[n][k]
 
 
 def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
     """Gaussian binomial via the recurrence ``[n,k] = q^k [n-1,k] + [n-1,k-1]``."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _qbinom_rows(q, n)[n][k]
+    if isinstance(q, float):
+        return _qbinom_rows(q, n)[n][k]
+    # Keyed by integers: hashing a Fraction costs a modular inverse per call.
+    key = (n, k, q.numerator, q.denominator)
+    value = _QBINOM_READS.get(key)
+    if value is None:
+        value = Fraction(_qbinom_rows(q, n)[n][k], q.denominator ** (k * (n - k)))
+        _QBINOM_READS[key] = value
+    return value
 
 
 def q_binomial_or_zero(n: int, k: int, q: Scalar) -> Scalar:

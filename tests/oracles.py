@@ -36,6 +36,19 @@ def brute_level_sum(n: int, k: int, q, statistic) -> object:
     return total
 
 
+def q_binomial_row(n: int, q: Fraction) -> list[Fraction]:
+    """Row ``n`` of Gaussian binomials by the product formula
+    ``[n, k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i)``, in Fractions.
+
+    Each entry extends the previous one by the single factor
+    ``(1 - q^(n-k+1)) / (1 - q^k)``, so a row costs ``n`` multiplications.
+    """
+    row = [Fraction(1)]
+    for k in range(1, n + 1):
+        row.append(row[-1] * (1 - q ** (n - k + 1)) / (1 - q**k))
+    return row
+
+
 def dense_projection_table(m: QExchMeasure, k: int) -> list:
     """Pushforward onto the first k coordinates by explicit suffix summation.
 

@@ -15,6 +15,7 @@ from qexchange import (
     verify_rate,
 )
 from qexchange import bounds as bounds_module
+from qexchange import qcore
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -185,18 +186,14 @@ def test_verify_rate_raises_on_violation(monkeypatch):
     assert "upper bound violated" in str(err)
 
 
-def test_verify_rate_parallel_matches_serial(monkeypatch):
+def test_verify_rate_cold_and_warm_cache_agree(monkeypatch):
     cfg = RateSweepConfig(q=0.5, k=1, n_start=1, n_end=80)
-    monkeypatch.delenv("QEXCHANGE_WORKERS", raising=False)
-    serial_cfg_reports = verify_rate(cfg)
-    monkeypatch.setenv("QEXCHANGE_WORKERS", "2")
-    assert verify_rate(cfg) == serial_cfg_reports
-
-
-def test_worker_env_validation(monkeypatch):
-    monkeypatch.setenv("QEXCHANGE_WORKERS", "0")
-    with pytest.raises(ValueError):
-        verify_rate(RateSweepConfig(q=HALF, k=1, n_start=1, n_end=2))
+    monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
+    cold = verify_rate(cfg)
+    assert verify_rate(cfg) == cold
+    # sweeps run serially; the old worker-count variable is ignored, even malformed
+    monkeypatch.setenv("QEXCHANGE_WORKERS", "abc")
+    assert verify_rate(cfg) == cold
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from qexchange import (
     bounds,
     decompose,
@@ -169,6 +171,23 @@ def test_sweep_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--q", "1/2", "--k", "1", "--n", "1..4"],
+        ["random-measure", "--n", "3", "--q", "1/2"],
+        ["decompose", "{measure}", "--k", "1"],
+    ],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    measure_path = tmp_path / "m.json"
+    measure_path.write_text(measure_to_json(extreme_measure(3, 1, HALF)))
+    argv = [a.format(measure=measure_path) for a in argv]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert err.startswith("error: cannot write")
 
 
 def test_sweep_violation_row(monkeypatch, capsys):

@@ -14,7 +14,10 @@ from qexchange import (
     mixing_to_json,
     mixture,
     project,
+    project_bernoulli_closed_form,
+    project_extreme_closed_form,
     q_bernoulli,
+    q_binomial,
     random_q_exch,
     to_dense,
     tv_distance,
@@ -129,6 +132,22 @@ def test_distance_matches_tv_of_projections():
                     assert extreme_vs_bernoulli_distance(n, n1, k, q) == tv_distance(
                         project(e, k), project(nu, k)
                     )
+
+
+def test_distance_matches_closed_form_level_sum():
+    # the integer kernel against the public closed forms, which stay the reference
+    for q in (HALF, Fraction(2, 3)):
+        for n in range(41):
+            for n1 in range(n + 1):
+                for k in range(min(n, 4) + 1):
+                    reference = sum(
+                        q_binomial(k, k1, q) * abs(
+                            project_extreme_closed_form(n, n1, k, k1, q)
+                            - project_bernoulli_closed_form(n1, k, k1, q)
+                        )
+                        for k1 in range(k + 1)
+                    )
+                    assert extreme_vs_bernoulli_distance(n, n1, k, q) == reference
 
 
 def test_distance_preconditions():

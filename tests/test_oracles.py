@@ -11,6 +11,7 @@ from oracles import (
     dense_projection_table,
     literal_bernoulli_base,
     pair_statistics,
+    q_binomial_row,
     tv_by_subsets,
 )
 
@@ -20,6 +21,13 @@ def test_pair_statistics_hand_cases():
     assert pair_statistics((0, 1, 0, 1)) == (1, 3)
     assert pair_statistics(()) == (0, 0)
     assert pair_statistics((1, 1, 0, 0, 0)) == (6, 0)
+
+
+def test_q_binomial_row_hand_cases():
+    half = Fraction(1, 2)
+    assert q_binomial_row(0, half) == [1]
+    # [4, 1] = 1 + q + q^2 + q^3, [4, 2] = (1 + q^2)(1 + q + q^2)
+    assert q_binomial_row(4, half) == [1, Fraction(15, 8), Fraction(35, 16), Fraction(15, 8), 1]
 
 
 def test_dense_projection_table_hand_case():

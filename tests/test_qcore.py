@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qexchange import (
     enumerate_level,
     inversions,
     q_binomial,
+    q_binomial_numerator,
     q_binomial_or_zero,
     q_factorial,
     q_int,
@@ -21,10 +23,12 @@ from qexchange import (
     scalar_mode,
     swap_adjacent,
 )
-from oracles import brute_level_sum, pair_statistics
+from qexchange import qcore
+from oracles import brute_level_sum, pair_statistics, q_binomial_row
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+ORACLE_QS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 8))
 
 bit_lists = st.lists(st.integers(0, 1), max_size=16)
 
@@ -215,6 +219,43 @@ def test_q_binomial_errors_and_zero_convention():
 
 def test_q_binomial_float_mode():
     assert q_binomial(4, 2, 0.5) == pytest.approx(35 / 16)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """Empty q-binomial caches for one test; the shared ones return after it."""
+    monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
+    monkeypatch.setattr(qcore, "_QBINOM_READS", {})
+
+
+@pytest.mark.parametrize("first,second", [(HALF, 0.5), (0.5, HALF)])
+def test_q_binomial_cache_keeps_modes_apart(cold_cache, first, second):
+    # 0.5 == Fraction(1, 2) and the two hash alike, yet each mode needs its own rows
+    q_binomial(4, 2, first)
+    value = q_binomial(4, 2, second)
+    assert type(value) is type(second)
+    assert value == Fraction(35, 16)
+
+
+@pytest.mark.parametrize(
+    "q,rows", [(q, range(61)) for q in ORACLE_QS] + [(Fraction(2, 3), [300])]
+)
+def test_q_binomial_against_product_formula(cold_cache, q, rows):
+    # shuffled rows, so the cold cache grows by one row at a time and by many
+    rows = list(rows)
+    random.Random(0).shuffle(rows)
+    for _cache in ("cold", "warm"):
+        for n in rows:
+            for k, expected in enumerate(q_binomial_row(n, q)):
+                assert q_binomial(n, k, q) == expected
+                assert q_binomial_numerator(n, k, q) == expected * q.denominator ** (k * (n - k))
+
+
+def test_q_binomial_numerator_errors():
+    with pytest.raises(ValueError):
+        q_binomial_numerator(2, 3, HALF)
+    with pytest.raises(TypeError):
+        q_binomial_numerator(2, 1, 0.5)
 
 
 def test_q_pochhammer():
