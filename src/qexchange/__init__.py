@@ -4,21 +4,17 @@ Construction and evaluation of q-exchangeable probability measures on
 ``{0,1}^n``, their extreme/mixture decomposition, closed-form leading
 projections, total-variation distances, and certified verification that the
 canonical q-Bernoulli mixture approximates every such measure at the optimal
-rate ``q^n``.  Exact rational arithmetic is the default everywhere; float
-mode exists for large sweeps.
+rate ``q^n``.  All arithmetic is exact rational arithmetic on
+``fractions.Fraction``; floats appear only where a result is rounded for
+display.
 """
 
 from .qcore import (
-    EXACT,
-    FLOAT,
     MAX_WORD_LENGTH,
-    ModeMismatchError,
-    Scalar,
     Word,
     block_word,
     check_q,
     coinversions,
-    common_mode,
     enumerate_level,
     inversions,
     q_binomial,
@@ -27,7 +23,6 @@ from .qcore import (
     q_factorial,
     q_int,
     q_pochhammer,
-    scalar_mode,
     swap_adjacent,
 )
 from .measures import (
@@ -74,25 +69,20 @@ from .bounds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXACT",
-    "FLOAT",
     "MAX_DENSE_N",
     "MAX_WORD_LENGTH",
     "DenseMeasure",
     "DistanceReport",
     "MeasureSampler",
     "MixingMeasure",
-    "ModeMismatchError",
     "QExchMeasure",
     "RateSweepConfig",
     "RateViolationError",
-    "Scalar",
     "Word",
     "approx_error",
     "block_word",
     "check_q",
     "coinversions",
-    "common_mode",
     "decompose",
     "enumerate_level",
     "evaluate",
@@ -119,7 +109,6 @@ __all__ = [
     "q_pochhammer",
     "random_q_exch",
     "sample",
-    "scalar_mode",
     "swap_adjacent",
     "tech_lemma_lhs_rhs",
     "to_dense",

@@ -19,18 +19,19 @@ below, ``D >= lower_constant * q^n``, whenever ``n1 >= k``; it comes from the
 single level ``k1 = k`` term together with the technical inequality exposed
 by :func:`tech_lemma_lhs_rhs`.
 
-Inequality checks run in whatever arithmetic the inputs carry; in exact mode
-they are exact.  The only tolerance-bearing computation in the module is the
-least-squares slope fit.
+Every constant is an exact Fraction and every inequality check is exact.
+The only tolerance-bearing computation in the module is the least-squares
+slope fit, which rounds each distance to float once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qcore import Scalar, check_q, one_like, q_binomial
+from .qcore import check_q, q_binomial
 from .definetti import DistanceReport, extreme_vs_bernoulli_distance
 
 
@@ -51,35 +52,34 @@ class RateViolationError(Exception):
         )
 
 
-def upper_constant(k: int, q: Scalar) -> Scalar:
+def upper_constant(k: int, q: Fraction) -> Fraction:
     """Uniform-in-``n1`` constant with ``D(n, n1, k) <= c_k * q^n``."""
     check_q(q)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    one = one_like(q)
     if k == 0:
-        return one * 0
-    denom = (one - q) ** k
+        return Fraction(0)
+    denom = (1 - q) ** k
     b1 = sum(q ** -i for i in range(k)) / denom
-    total = one * 0
+    total = Fraction(0)
     for k1 in range(k + 1):
         if k1 == k:
-            b2 = one * 0
+            b2 = Fraction(0)
         else:
             b2 = sum(q ** (k1 * (k1 - k) - i) for i in range(k - k1)) / denom
         total += q_binomial(k, k1, q) * max(b1, b2)
     return total
 
 
-def lower_constant(k: int, q: Scalar) -> Scalar:
+def lower_constant(k: int, q: Fraction) -> Fraction:
     """Sharpness constant with ``D(n, n1, k) >= c~_k * q^n`` for ``n1 >= k``."""
     check_q(q)
     if k < 1:
         raise ValueError(f"lower bound requires k >= 1, got {k}")
-    return (one_like(q) - q) ** (k - 1) * (q ** (1 - k) - q)
+    return (1 - q) ** (k - 1) * (q ** (1 - k) - q)
 
 
-def tech_lemma_lhs_rhs(n: int, k: int, q: Scalar) -> tuple[Scalar, Scalar]:
+def tech_lemma_lhs_rhs(n: int, k: int, q: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the sharpness inequality, contract ``L >= R``.
 
     ``L = (1 - prod_{i<k}(1 - q^(n-i))) / prod_{i<k}(1 - q^(n-i))`` and
@@ -89,12 +89,11 @@ def tech_lemma_lhs_rhs(n: int, k: int, q: Scalar) -> tuple[Scalar, Scalar]:
     check_q(q)
     if not 1 <= k <= n:
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    one = one_like(q)
-    prod = one
+    prod = Fraction(1)
     for i in range(k):
-        prod *= one - q ** (n - i)
-    lhs = (one - prod) / prod
-    rhs = (q ** (1 - k) - q) / (one - q) * q**n
+        prod *= 1 - q ** (n - i)
+    lhs = (1 - prod) / prod
+    rhs = (q ** (1 - k) - q) / (1 - q) * q**n
     return lhs, rhs
 
 
@@ -107,7 +106,7 @@ class RateSweepConfig:
     every n, and ``"list"`` runs every exponent in ``n1_list`` at every n.
     """
 
-    q: Scalar
+    q: Fraction
     k: int
     n_start: int
     n_end: int

@@ -3,8 +3,9 @@
 Exit codes are stable across subcommands: 0 for success, 1 for a failed
 mathematical check (a bound or invariant that should have held), 2 for usage
 or input errors.  The parameter q is accepted only as an exact fraction
-string like ``1/2``; decimal input is allowed only together with
-``--mode float``, which itself exists only on ``sweep``.
+string like ``1/2``.  All arithmetic is exact; floats appear only as
+rounded display copies: the CSV columns of ``sweep``, the bracketed values of
+``distance`` and the ``*_float`` fields of ``decompose``.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds, definetti, measures, verify
-from .qcore import EXACT, Scalar, check_q, q_binomial
+from .qcore import check_q, q_binomial
 
 CSV_HEADER = "n,k,n1,q,distance,upper,lower,dist_over_qn"
 
 _FRACTION_RE = re.compile(r"^\d+/\d+$")
-_DECIMAL_RE = re.compile(r"^\d*\.\d+$")
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 
@@ -30,23 +30,16 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_q(text: str, mode: str = EXACT) -> Scalar:
-    if _FRACTION_RE.match(text):
-        value = Fraction(text)
-    elif _DECIMAL_RE.match(text):
-        if mode == EXACT:
-            raise _UsageError(f"decimal q {text!r} not allowed in exact mode; pass a fraction like 1/2")
-        value = Fraction(text)
-    else:
+def _parse_q(text: str) -> Fraction:
+    if not _FRACTION_RE.match(text):
         raise _UsageError(f"cannot parse q {text!r}; expected a fraction like 1/2")
     try:
-        check_q(value)
-    except ValueError as exc:
+        return check_q(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(str(exc)) from exc
-    return float(value) if mode != EXACT else value
 
 
-def _parse_q_list(text: str) -> list[Scalar]:
+def _parse_q_list(text: str) -> list[Fraction]:
     return [_parse_q(part.strip()) for part in text.split(",") if part.strip()]
 
 
@@ -83,8 +76,8 @@ def _fmt_float(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _fmt_exact(x: Scalar) -> str:
-    return str(Fraction(x)) if not isinstance(x, float) else _fmt_float(x)
+def _fmt_exact(x: Fraction) -> str:
+    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +130,15 @@ def _report_row(r: definetti.DistanceReport) -> str:
 
 
 def _report_record(r: definetti.DistanceReport) -> dict:
-    if r.mode == EXACT:
-        def render(x):
-            return None if x is None else str(Fraction(x))
-    else:
-        def render(x):
-            return x
     return {
         "n": r.n,
         "k": r.k,
         "n1": r.n1,
-        "q": render(r.q),
-        "distance": render(r.distance),
-        "upper": render(r.upper),
-        "lower": render(r.lower),
-        "dist_over_qn": render(r.dist_over_qn),
+        "q": _fmt_exact(r.q),
+        "distance": _fmt_exact(r.distance),
+        "upper": _fmt_exact(r.upper),
+        "lower": None if r.lower is None else _fmt_exact(r.lower),
+        "dist_over_qn": _fmt_exact(r.dist_over_qn),
     }
 
 
@@ -176,7 +163,7 @@ def _render_sweep(reports, fmt: str, violation: Optional[definetti.DistanceRepor
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    q = _parse_q(args.q, args.mode)
+    q = _parse_q(args.q)
     n_start, n_end = _parse_n_range(args.n)
     rule, fixed = _parse_n1_rule(args.n1)
     try:
@@ -301,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", required=True, help="inclusive range START..END (or a single value)")
     p.add_argument("--n1", default="equal", help="half | equal | fixed:<v>")
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--fit-slope", action="store_true", help="print ln-distance slope to stderr")

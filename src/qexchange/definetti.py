@@ -23,29 +23,17 @@ from typing import Optional
 
 import json
 
-from .qcore import (
-    EXACT,
-    Scalar,
-    check_q,
-    one_like,
-    q_binomial,
-    q_binomial_numerator,
-    scalar_mode,
-)
+from .qcore import check_q, q_binomial_numerator
 from .measures import (
     QExchMeasure,
     _check_total_mass,
     _coerce_entries,
+    _int_from_json,
     _scalar_from_json,
     _scalar_to_json,
     q_bernoulli,
 )
-from .projection import (
-    project,
-    project_bernoulli_closed_form,
-    project_extreme_closed_form,
-    tv_distance,
-)
+from .projection import project, tv_distance
 
 
 @dataclass(frozen=True)
@@ -53,22 +41,18 @@ class MixingMeasure:
     """Weights ``alpha[i]`` on the grid points ``q^i``, ``i = 0..n``."""
 
     n: int
-    q: Scalar
-    alpha: tuple[Scalar, ...]
+    q: Fraction
+    alpha: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         check_q(self.q)
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        alpha = _coerce_entries(self.alpha, self.mode, "alpha")
+        alpha = _coerce_entries(self.alpha, "alpha")
         if len(alpha) != self.n + 1:
             raise ValueError(f"alpha must have n + 1 = {self.n + 1} entries, got {len(alpha)}")
         object.__setattr__(self, "alpha", alpha)
-        _check_total_mass(sum(alpha), self.mode, "mixing measure")
-
-    @property
-    def mode(self) -> str:
-        return scalar_mode(self.q)
+        _check_total_mass(sum(alpha), "mixing measure")
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,7 +64,7 @@ class MixingMeasure:
     @classmethod
     def from_json_dict(cls, d: dict) -> "MixingMeasure":
         try:
-            n = int(d["n"])
+            n = _int_from_json(d["n"])
             q = _scalar_from_json(d["q"])
             alpha = tuple(_scalar_from_json(a) for a in d["alpha"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -101,14 +85,10 @@ class DistanceReport:
     n: int
     k: int
     n1: int
-    q: Scalar
-    distance: Scalar
-    upper: Scalar
-    lower: Optional[Scalar] = None
-
-    @property
-    def mode(self) -> str:
-        return scalar_mode(self.q)
+    q: Fraction
+    distance: Fraction
+    upper: Fraction
+    lower: Optional[Fraction] = None
 
     @property
     def bounds_ok(self) -> bool:
@@ -117,7 +97,7 @@ class DistanceReport:
         return self.lower is None or self.lower <= self.distance
 
     @property
-    def dist_over_qn(self) -> Scalar:
+    def dist_over_qn(self) -> Fraction:
         return self.distance / self.q**self.n
 
 
@@ -135,12 +115,11 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
     """Mix the q-Bernoulli measures ``x = q^i`` on ``{0,1}^n`` by ``mu``.
 
     Combination happens on base vectors, which are closed under convex
-    combination, so exact mode stays exact at any n.
+    combination, so the result stays exact at any n.
     """
     if n < mu.n:
         raise ValueError(f"mixing measure uses exponents up to {mu.n}, cannot mix on n={n}")
-    zero = one_like(mu.q) * 0
-    base = [zero] * (n + 1)
+    base = [Fraction(0)] * (n + 1)
     for i, weight in enumerate(mu.alpha):
         if weight == 0:
             continue
@@ -150,27 +129,11 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
     return QExchMeasure(n, mu.q, tuple(base))
 
 
-def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Scalar) -> Scalar:
+def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
     """Exact TV distance between the k-projections of ``extreme(n, n1)`` and
-    the q-Bernoulli measure at ``x = q^n1``, by the closed-form level sum."""
-    check_q(q)
-    if not (0 <= k <= n and 0 <= n1 <= n):
-        raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
-    if scalar_mode(q) == EXACT:
-        return _exact_distance(n, n1, k, q)
-    total = one_like(q) * 0
-    for k1 in range(k + 1):
-        a = project_extreme_closed_form(n, n1, k, k1, q)
-        b = project_bernoulli_closed_form(n1, k, k1, q)
-        if a == b:
-            continue
-        total += q_binomial(k, k1, q) * abs(a - b)
-    return total
+    the q-Bernoulli measure at ``x = q^n1``, by the closed-form level sum.
 
-
-def _exact_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
-    """The level sum in integers over one common denominator ``b^E N(n, n1)``.
-
+    The sum runs in integers over one common denominator ``b^E N(n, n1)``.
     With ``q = a/b``, ``j = n1 - k1`` and ``N`` the integer numerators of the
     q-binomial cache, level ``k1 <= n1`` contributes (the others vanish)
 
@@ -180,6 +143,9 @@ def _exact_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
     ``s = sum_{i<k1} (n1 - i)``, ``u = n1 (n - n1) - j (n - k - j) >= 0`` and
     ``t = s + k1 (k - k1) + e``.  ``N(n-k, j)`` is zero when ``j > n - k``.
     """
+    check_q(q)
+    if not (0 <= k <= n and 0 <= n1 <= n):
+        raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
     a, b = q.numerator, q.denominator
     whole = q_binomial_numerator(n, n1, q)
     terms = []
@@ -199,7 +165,7 @@ def _exact_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
     return Fraction(sum(x * b ** (top - t) for x, t in terms), whole * b**top)
 
 
-def approx_error(m: QExchMeasure, k: int) -> Scalar:
+def approx_error(m: QExchMeasure, k: int) -> Fraction:
     """TV distance between the k-projection of ``m`` and the k-projection of
     its canonical q-Bernoulli mixture."""
     if not 0 <= k <= m.n:

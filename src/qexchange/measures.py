@@ -7,62 +7,50 @@ block words ``1^k 0^(n-k)``.  :class:`QExchMeasure` stores exactly those
 :class:`DenseMeasure` is the brute-force counterpart, a full table over all
 ``2^n`` words, used as an oracle and for measures that are not q-exchangeable.
 
-JSON wire format (exact mode round-trips bit for bit):
+JSON wire format (round-trips bit for bit):
 
     {"n": 3, "q": "1/2", "base": ["1/7", "0", ...]}
 
-Exact scalars are serialized as fraction strings, float-mode scalars as JSON
-numbers.
+``n`` is a JSON integer and every scalar is a fraction string; anything else
+is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .qcore import (
-    EXACT,
-    FLOAT,
-    ModeMismatchError,
-    Scalar,
-    Word,
-    check_q,
-    coinversions,
-    common_mode,
-    one_like,
-    q_binomial,
-    scalar_mode,
-)
+from .qcore import Word, check_q, coinversions, q_binomial
 
 #: Dense tabulation is 2^n entries; past this the compact form is mandatory.
 MAX_DENSE_N = 24
 
-_FLOAT_MASS_TOL = 1e-9
+#: The scalar wire form: ``str(Fraction)`` output such as ``"1/3"`` or ``"0"``.
+_FRACTION_JSON_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _coerce_entries(values, mode: str, what: str) -> tuple[Scalar, ...]:
-    """Normalize a scalar vector to ``mode``, rejecting exact/float mixes."""
+def _coerce_entries(values, what: str) -> tuple[Fraction, ...]:
+    """Normalize a scalar vector to Fractions; ints are promoted, anything
+    else (``bool`` and ``float`` included) is a ``TypeError``."""
     out = []
     for v in values:
-        if isinstance(v, int):
-            v = float(v) if mode == FLOAT else Fraction(v)
-        elif scalar_mode(v) != mode:
-            raise ModeMismatchError(f"{what} entry {v!r} does not match {mode} mode")
+        if isinstance(v, int) and not isinstance(v, bool):
+            v = Fraction(v)
+        elif not isinstance(v, Fraction):
+            raise TypeError(f"{what} entry {v!r} is not an int or Fraction")
         if v < 0:
             raise ValueError(f"{what} entries must be nonnegative, got {v}")
         out.append(v)
     return tuple(out)
 
 
-def _check_total_mass(total: Scalar, mode: str, what: str) -> None:
-    if mode == EXACT:
-        if total != 1:
-            raise ValueError(f"{what} total mass must be exactly 1, got {total}")
-    elif abs(total - 1.0) > _FLOAT_MASS_TOL:
-        raise ValueError(f"{what} total mass must be 1 within {_FLOAT_MASS_TOL}, got {total}")
+def _check_total_mass(total: Fraction, what: str) -> None:
+    if total != 1:
+        raise ValueError(f"{what} total mass must be exactly 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -70,30 +58,26 @@ class QExchMeasure:
     """Compact q-exchangeable measure: ``base[k]`` is the block-word value.
 
     Validated on construction: ``base`` has length ``n + 1``, entries are
-    nonnegative scalars in the mode of ``q``, and the total mass
-    ``sum_k base[k] * [n, k]_q`` is 1 (exactly, in exact mode).
+    nonnegative Fractions (ints are promoted), and the total mass
+    ``sum_k base[k] * [n, k]_q`` is exactly 1.
     """
 
     n: int
-    q: Scalar
-    base: tuple[Scalar, ...]
+    q: Fraction
+    base: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         check_q(self.q)
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        base = _coerce_entries(self.base, self.mode, "base")
+        base = _coerce_entries(self.base, "base")
         if len(base) != self.n + 1:
             raise ValueError(f"base must have n + 1 = {self.n + 1} entries, got {len(base)}")
         object.__setattr__(self, "base", base)
         total = sum(base[k] * q_binomial(self.n, k, self.q) for k in range(self.n + 1))
-        _check_total_mass(total, self.mode, "measure")
+        _check_total_mass(total, "measure")
 
-    @property
-    def mode(self) -> str:
-        return scalar_mode(self.q)
-
-    def level_mass(self, k: int) -> Scalar:
+    def level_mass(self, k: int) -> Fraction:
         """Total probability of the words with exactly ``k`` ones."""
         return self.base[k] * q_binomial(self.n, k, self.q)
 
@@ -107,7 +91,7 @@ class QExchMeasure:
     @classmethod
     def from_json_dict(cls, d: dict) -> "QExchMeasure":
         try:
-            n = int(d["n"])
+            n = _int_from_json(d["n"])
             q = _scalar_from_json(d["q"])
             base = tuple(_scalar_from_json(b) for b in d["base"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -120,28 +104,23 @@ class DenseMeasure:
     """Explicit probability table over all ``2^n`` words, indexed by packed value."""
 
     n: int
-    weights: tuple[Scalar, ...]
+    weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_DENSE_N:
             raise ValueError(f"dense measures support 0 <= n <= {MAX_DENSE_N}, got {self.n}")
-        mode = common_mode(*self.weights) if self.weights else EXACT
-        weights = _coerce_entries(self.weights, mode, "weight")
+        weights = _coerce_entries(self.weights, "weight")
         if len(weights) != 1 << self.n:
             raise ValueError(f"need 2^n = {1 << self.n} weights, got {len(weights)}")
         object.__setattr__(self, "weights", weights)
-        _check_total_mass(sum(weights), mode, "dense measure")
+        _check_total_mass(sum(weights), "dense measure")
 
-    @property
-    def mode(self) -> str:
-        return scalar_mode(self.weights[0])
-
-    def weight(self, w: Word) -> Scalar:
+    def weight(self, w: Word) -> Fraction:
         if w.length != self.n:
             raise ValueError(f"word length {w.length} does not match dimension {self.n}")
         return self.weights[w.packed]
 
-    def items(self) -> Iterator[tuple[Word, Scalar]]:
+    def items(self) -> Iterator[tuple[Word, Fraction]]:
         for packed, value in enumerate(self.weights):
             yield Word(packed, self.n), value
 
@@ -150,7 +129,7 @@ class DenseMeasure:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def extreme_measure(n: int, k: int, q: Scalar) -> QExchMeasure:
+def extreme_measure(n: int, k: int, q: Fraction) -> QExchMeasure:
     """The unique q-exchangeable measure supported on the level of k ones.
 
     Its block value is ``1/[n, k]_q`` and pointwise it weighs each level word
@@ -160,13 +139,12 @@ def extreme_measure(n: int, k: int, q: Scalar) -> QExchMeasure:
     check_q(q)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    zero = one_like(q) * 0
-    base = [zero] * (n + 1)
-    base[k] = one_like(q) / q_binomial(n, k, q)
+    base = [Fraction(0)] * (n + 1)
+    base[k] = 1 / q_binomial(n, k, q)
     return QExchMeasure(n, q, tuple(base))
 
 
-def q_bernoulli(n: int, exponent: int, q: Scalar) -> QExchMeasure:
+def q_bernoulli(n: int, exponent: int, q: Fraction) -> QExchMeasure:
     """q-deformed Bernoulli measure with zero-probability ``x = q^exponent``.
 
     Block values follow ``base[j] = q^((e - j)(n - j)) * prod_{i<j}(1 - q^(e-i))``
@@ -180,35 +158,30 @@ def q_bernoulli(n: int, exponent: int, q: Scalar) -> QExchMeasure:
         raise ValueError(f"n must be >= 0, got {n}")
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    one = one_like(q)
-    zero = one * 0
     base = []
-    poch = one
+    poch = Fraction(1)
     for j in range(n + 1):
         if j > exponent:
-            base.append(zero)
+            base.append(Fraction(0))
             continue
         base.append(q ** ((exponent - j) * (n - j)) * poch)
-        poch *= one - q ** (exponent - j)
+        poch *= 1 - q ** (exponent - j)
     return QExchMeasure(n, q, tuple(base))
 
 
-def random_q_exch(n: int, q: Scalar, seed: int) -> QExchMeasure:
+def random_q_exch(n: int, q: Fraction, seed: int) -> QExchMeasure:
     """Seeded random q-exchangeable measure, deterministic given ``seed``.
 
-    Draws nonnegative level masses, normalizes them to total 1, and divides by
-    the Gaussian binomials so the result is exactly a probability measure in
-    exact mode.
+    Draws nonnegative integer level masses, normalizes them to total 1, and
+    divides by the Gaussian binomials so the result is exactly a probability
+    measure.
     """
     check_q(q)
     rng = random.Random(seed)
-    if scalar_mode(q) == EXACT:
-        raw = [Fraction(rng.randint(0, 10**6)) for _ in range(n + 1)]
-    else:
-        raw = [rng.random() for _ in range(n + 1)]
+    raw = [Fraction(rng.randint(0, 10**6)) for _ in range(n + 1)]
     total = sum(raw)
     if total == 0:
-        raw[0] = one_like(q)
+        raw[0] = Fraction(1)
         total = raw[0]
     base = tuple(r / total / q_binomial(n, k, q) for k, r in enumerate(raw))
     return QExchMeasure(n, q, base)
@@ -218,7 +191,7 @@ def random_q_exch(n: int, q: Scalar, seed: int) -> QExchMeasure:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(m: QExchMeasure, w: Word) -> Scalar:
+def evaluate(m: QExchMeasure, w: Word) -> Fraction:
     """Probability of a single word: ``q^coinversions(w) * base[ones(w)]``."""
     if w.length != m.n:
         raise ValueError(f"word length {w.length} does not match dimension {m.n}")
@@ -226,24 +199,22 @@ def evaluate(m: QExchMeasure, w: Word) -> Scalar:
 
 
 def to_dense(m: QExchMeasure) -> DenseMeasure:
-    """Tabulate the measure on every word; exact mode stays exact."""
+    """Tabulate the measure on every word, exactly."""
     if m.n > MAX_DENSE_N:
         raise ValueError(f"refusing to tabulate 2^{m.n} words (limit n <= {MAX_DENSE_N})")
     weights = tuple(evaluate(m, Word(p, m.n)) for p in range(1 << m.n))
     return DenseMeasure(m.n, weights)
 
 
-def is_q_exchangeable(d: DenseMeasure, q: Scalar) -> tuple[bool, Optional[tuple[Word, int]]]:
+def is_q_exchangeable(d: DenseMeasure, q: Fraction) -> tuple[bool, Optional[tuple[Word, int]]]:
     """Check the adjacent-swap rule on every word and position.
 
     For each word ``w`` and 1-based position ``i``, requires
-    ``P(swap_i(w)) = q^(w_i - w_{i+1}) P(w)``, exactly in exact mode and
-    within a small relative tolerance in float mode.  Returns
+    ``P(swap_i(w)) = q^(w_i - w_{i+1}) P(w)`` exactly.  Returns
     ``(True, None)`` or ``(False, (word, position))`` for the first violation
     in increasing packed order.
     """
     check_q(q)
-    exact = d.mode == EXACT and scalar_mode(q) == EXACT
     weights = d.weights
     for packed in range(1 << d.n):
         value = weights[packed]
@@ -255,11 +226,7 @@ def is_q_exchangeable(d: DenseMeasure, q: Scalar) -> tuple[bool, Optional[tuple[
             swapped = weights[packed ^ (0b11 << (i - 1))]
             # lo = w_i, hi = w_{i+1}; factor q^(lo - hi)
             expected = value * q if lo == 1 else value / q
-            if exact:
-                ok = swapped == expected
-            else:
-                ok = abs(swapped - expected) <= 1e-12 + 1e-9 * max(abs(swapped), abs(expected))
-            if not ok:
+            if swapped != expected:
                 return False, (Word(packed, d.n), i)
     return True, None
 
@@ -282,7 +249,7 @@ class MeasureSampler:
 
     def __init__(self, m: QExchMeasure):
         self.n = m.n
-        levels: list[list[Scalar]] = [list(m.base)]
+        levels: list[list[Fraction]] = [list(m.base)]
         for j in range(m.n - 1, -1, -1):
             upper = levels[-1]
             levels.append([upper[a] + m.q ** (j - a) * upper[a + 1] for a in range(j + 1)])
@@ -317,18 +284,25 @@ def sample(m: QExchMeasure, rng: random.Random) -> Word:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _scalar_to_json(x: Scalar):
-    if scalar_mode(x) == EXACT:
-        return str(Fraction(x))
-    return x
+def _scalar_to_json(x: Fraction) -> str:
+    return str(x)
 
 
-def _scalar_from_json(v) -> Scalar:
-    if isinstance(v, str):
+def _scalar_from_json(v) -> Fraction:
+    """Parse a fraction string; JSON numbers, decimals and exponents are
+    rejected, so a short file cannot ask for a huge power of ten."""
+    if not isinstance(v, str) or not _FRACTION_JSON_RE.fullmatch(v):
+        raise ValueError(f"scalar must be a fraction string like \"1/3\", got {v!r}")
+    try:
         return Fraction(v)
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise ValueError(f"not a scalar value: {v!r}")
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {v!r}") from exc
+
+
+def _int_from_json(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"n must be a JSON integer, got {v!r}")
+    return v
 
 
 def measure_to_json(m: QExchMeasure) -> str:

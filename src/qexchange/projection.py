@@ -14,16 +14,10 @@ with the same q the sum collapses level by level to
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Union
 
-from .qcore import (
-    Scalar,
-    check_q,
-    common_mode,
-    one_like,
-    q_binomial,
-    q_binomial_or_zero,
-)
+from .qcore import check_q, q_binomial, q_binomial_or_zero
 from .measures import DenseMeasure, QExchMeasure, to_dense
 
 Measure = Union[QExchMeasure, DenseMeasure]
@@ -37,7 +31,7 @@ def project(m: QExchMeasure, k: int) -> QExchMeasure:
         return m
     base = []
     for k1 in range(k + 1):
-        acc = one_like(m.q) * 0
+        acc = Fraction(0)
         for j in range(k1, k1 + (m.n - k) + 1):
             weight = q_binomial_or_zero(m.n - k, j - k1, m.q)
             if weight == 0 or m.base[j] == 0:
@@ -47,7 +41,7 @@ def project(m: QExchMeasure, k: int) -> QExchMeasure:
     return QExchMeasure(k, m.q, tuple(base))
 
 
-def project_extreme_closed_form(n: int, n1: int, k: int, k1: int, q: Scalar) -> Scalar:
+def project_extreme_closed_form(n: int, n1: int, k: int, k1: int, q: Fraction) -> Fraction:
     """Block value of the projected level-``n1`` extreme measure.
 
     Returns ``q^((n1 - k1)(k - k1)) * [n - k, n1 - k1]_q / [n, n1]_q`` with
@@ -63,7 +57,7 @@ def project_extreme_closed_form(n: int, n1: int, k: int, k1: int, q: Scalar) -> 
     return q ** ((n1 - k1) * (k - k1)) * inner / q_binomial(n, n1, q)
 
 
-def project_bernoulli_closed_form(n1: int, k: int, k1: int, q: Scalar) -> Scalar:
+def project_bernoulli_closed_form(n1: int, k: int, k1: int, q: Fraction) -> Fraction:
     """Block value of the projected q-Bernoulli measure with ``x = q^n1``.
 
     Returns ``q^((n1 - k1)(k - k1)) * (q^n1; 1/q)_k1``; the Pochhammer factor
@@ -75,10 +69,10 @@ def project_bernoulli_closed_form(n1: int, k: int, k1: int, q: Scalar) -> Scalar
     if n1 < 0:
         raise ValueError(f"need n1 >= 0, got {n1}")
     if k1 > n1:
-        return one_like(q) * 0
-    poch = one_like(q)
+        return Fraction(0)
+    poch = Fraction(1)
     for i in range(k1):
-        poch *= one_like(q) - q ** (n1 - i)
+        poch *= 1 - q ** (n1 - i)
     return q ** ((n1 - k1) * (k - k1)) * poch
 
 
@@ -86,7 +80,7 @@ def _densify(m: Measure) -> DenseMeasure:
     return m if isinstance(m, DenseMeasure) else to_dense(m)
 
 
-def tv_distance(a: Measure, b: Measure) -> Scalar:
+def tv_distance(a: Measure, b: Measure) -> Fraction:
     """L1 total-variation distance between two same-dimension measures.
 
     Two compact measures with equal q are compared level by level without
@@ -96,11 +90,9 @@ def tv_distance(a: Measure, b: Measure) -> Scalar:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if isinstance(a, QExchMeasure) and isinstance(b, QExchMeasure) and a.q == b.q:
-        common_mode(a.q, b.q)
         return sum(
             q_binomial(a.n, k1, a.q) * abs(a.base[k1] - b.base[k1])
             for k1 in range(a.n + 1)
         )
     da, db = _densify(a), _densify(b)
-    common_mode(da.weights[0], db.weights[0])
     return sum(abs(x - y) for x, y in zip(da.weights, db.weights))

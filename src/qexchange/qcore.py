@@ -1,13 +1,10 @@
 """Exact q-combinatorics primitives and bit-packed binary-word statistics.
 
-Two scalar modes run through the whole package.  Exact mode uses
-``fractions.Fraction`` end to end, so every identity in the library can be
-asserted with ``==`` and no tolerance.  Float mode uses plain ``float`` and
-exists for large sweeps where exact denominators blow up.  Exact Gaussian
+All arithmetic is exact: scalars are ``fractions.Fraction`` end to end, so
+every identity in the library can be asserted with ``==`` and no tolerance.
+A ``float`` deformation parameter is rejected, not coerced.  Gaussian
 binomials are cached as integer numerators over powers of the denominator of
-``q``; a ``Fraction`` is built only when an entry is read.  A value's mode is
-its type; plain ``int`` is mode-neutral.  Mixing a ``Fraction`` with a
-``float`` is a bug, not a coercion, and raises :class:`ModeMismatchError`.
+``q``; a ``Fraction`` is built only when an entry is read.
 
 Words are binary sequences packed little-endian into a Python int: bit ``i``
 of ``packed`` holds sequence position ``i + 1``.  This makes the level
@@ -28,56 +25,21 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
-
-Scalar = Union[Fraction, float]
-
-EXACT = "exact"
-FLOAT = "float"
+from typing import Iterable, Iterator
 
 #: Packed words use a single machine-friendly int; 63 bits keeps shifts cheap
 #: and leaves room for a sign bit in foreign consumers.
 MAX_WORD_LENGTH = 63
 
 
-class ModeMismatchError(TypeError):
-    """Raised when exact (Fraction) and float scalars meet in one expression."""
-
-
-def scalar_mode(x: Scalar) -> str:
-    """Return ``"exact"`` for Fraction/int values, ``"float"`` for floats."""
-    if isinstance(x, float):
-        return FLOAT
-    if isinstance(x, (Fraction, int)):
-        return EXACT
-    raise TypeError(f"not a scalar: {x!r}")
-
-
-def common_mode(*values: Scalar) -> str:
-    """Mode shared by ``values``, treating plain ints as neutral.
-
-    Defaults to exact when every value is an int.  Raises
-    :class:`ModeMismatchError` on an exact/float mix.
-    """
-    modes = {scalar_mode(v) for v in values if not isinstance(v, int)}
-    if len(modes) > 1:
-        raise ModeMismatchError(f"mixed exact/float operands: {values!r}")
-    return modes.pop() if modes else EXACT
-
-
-def one_like(q: Scalar) -> Scalar:
-    """Multiplicative unit in the mode of ``q``."""
-    return 1.0 if scalar_mode(q) == FLOAT else Fraction(1)
-
-
-def check_q(q: Scalar) -> Scalar:
-    """Validate a deformation parameter: strictly between 0 and 1.
+def check_q(q: Fraction) -> Fraction:
+    """Validate a deformation parameter: a Fraction strictly between 0 and 1.
 
     Both endpoints are rejected; the classical ``q = 1`` regime is out of
     scope and ``q = 0`` degenerates every weight.
     """
-    if not isinstance(q, (Fraction, float)):
-        raise TypeError(f"q must be a Fraction or float, got {type(q).__name__}")
+    if not isinstance(q, Fraction):
+        raise TypeError(f"q must be a Fraction, got {type(q).__name__}")
     if not 0 < q < 1:
         raise ValueError(f"q must satisfy 0 < q < 1, got {q}")
     return q
@@ -199,110 +161,107 @@ def enumerate_level(n: int, k: int) -> Iterator[Word]:
 # q-functions
 # ---------------------------------------------------------------------------
 
-def q_int(n: int, q: Scalar) -> Scalar:
+def q_int(n: int, q: Fraction) -> Fraction:
     """The q-integer ``1 + q + ... + q^(n-1)``; equals ``(1 - q^n)/(1 - q)``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    total = one_like(q) * 0
-    power = one_like(q)
+    total = Fraction(0)
+    power = Fraction(1)
     for _ in range(n):
         total += power
         power *= q
     return total
 
 
-def q_factorial(n: int, q: Scalar) -> Scalar:
+def q_factorial(n: int, q: Fraction) -> Fraction:
     """Product of the q-integers 1..n; empty product is 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    result = one_like(q)
+    result = Fraction(1)
     for i in range(1, n + 1):
         result *= q_int(i, q)
     return result
 
 
-# Triangle rows of Gaussian binomials, keyed by mode and q: ``0.5`` and
-# ``Fraction(1, 2)`` compare and hash alike but must not share rows.  Exact
-# rows hold the integer numerators ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))``
-# for ``q = a/b``, which obey the division-free recurrence
-# ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``; a reduced Fraction is
-# built only when ``q_binomial`` reads an entry, and that read is memoised.
-# Float rows hold floats.  Rows are only ever appended, under a lock, so a
-# reader never sees a partial row or a row at the wrong index.
-_QBINOM_ROWS: dict[tuple[str, Scalar], list[list]] = {}
+# Triangle rows of Gaussian binomials, keyed by the integers ``(a, b)`` of
+# ``q = a/b`` in lowest terms.  Row ``n`` holds the integer numerators
+# ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))``, which obey the division-free
+# recurrence ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``; a reduced
+# Fraction is built only when ``q_binomial`` reads an entry, and that read is
+# memoised.  Rows are only ever appended, under a lock, so a reader never sees
+# a partial row or a row at the wrong index.
+_QBINOM_ROWS: dict[tuple[int, int], list[list[int]]] = {}
 _QBINOM_READS: dict[tuple[int, int, int, int], Fraction] = {}
 _QBINOM_LOCK = threading.Lock()
 
 
-def _qbinom_rows(q: Scalar, n: int) -> list[list]:
-    mode = scalar_mode(q)
-    rows = _QBINOM_ROWS.get((mode, q))
+def _fraction_parts(q: Fraction) -> tuple[int, int]:
+    if not isinstance(q, Fraction):
+        raise TypeError(f"q must be a Fraction, got {type(q).__name__}")
+    return q.numerator, q.denominator
+
+
+def _qbinom_rows(a: int, b: int, n: int) -> list[list[int]]:
+    rows = _QBINOM_ROWS.get((a, b))
     if rows is not None and len(rows) > n:
         return rows
-    # Float rows run the same recurrence with a = q and b = 1.
-    one, a, b = (1.0, q, 1.0) if mode == FLOAT else (1, q.numerator, q.denominator)
-    a_pow, b_pow = [one], [one]
+    a_pow, b_pow = [1], [1]
     for _ in range(n):
         a_pow.append(a_pow[-1] * a)
         b_pow.append(b_pow[-1] * b)
     with _QBINOM_LOCK:
-        rows = _QBINOM_ROWS.setdefault((mode, q), [[one]])
+        rows = _QBINOM_ROWS.setdefault((a, b), [[1]])
         while len(rows) <= n:
             prev = rows[-1]
             r = len(rows)
-            row = [one]
+            row = [1]
             for k in range(1, r):
                 row.append(a_pow[k] * prev[k] + b_pow[r - k] * prev[k - 1])
-            row.append(one)
+            row.append(1)
             rows.append(row)
     return rows
 
 
 def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
     """Integer ``N`` with ``[n, k]_q = N / b^(k(n-k))`` for ``q = a/b`` in
-    lowest terms: the exact cache entry itself, with no Fraction built."""
+    lowest terms: the cache entry itself, with no Fraction built."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if isinstance(q, float):
-        raise TypeError(f"integer numerators need an exact q, got {q!r}")
-    return _qbinom_rows(q, n)[n][k]
+    return _qbinom_rows(*_fraction_parts(q), n)[n][k]
 
 
-def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
+def q_binomial(n: int, k: int, q: Fraction) -> Fraction:
     """Gaussian binomial via the recurrence ``[n,k] = q^k [n-1,k] + [n-1,k-1]``."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if isinstance(q, float):
-        return _qbinom_rows(q, n)[n][k]
+    a, b = _fraction_parts(q)
     # Keyed by integers: hashing a Fraction costs a modular inverse per call.
-    key = (n, k, q.numerator, q.denominator)
+    key = (n, k, a, b)
     value = _QBINOM_READS.get(key)
     if value is None:
-        value = Fraction(_qbinom_rows(q, n)[n][k], q.denominator ** (k * (n - k)))
+        value = Fraction(_qbinom_rows(a, b, n)[n][k], b ** (k * (n - k)))
         _QBINOM_READS[key] = value
     return value
 
 
-def q_binomial_or_zero(n: int, k: int, q: Scalar) -> Scalar:
+def q_binomial_or_zero(n: int, k: int, q: Fraction) -> Fraction:
     """Gaussian binomial extended by the convention ``[n,k] = 0`` off range.
 
     Closed-form projection formulas index binomials with differences that can
     leave ``0 <= k <= n``; those terms carry zero mass.
     """
     if k < 0 or k > n:
-        return one_like(q) * 0
+        return Fraction(0)
     return q_binomial(n, k, q)
 
 
-def q_pochhammer(x: Scalar, t: Scalar, n: int) -> Scalar:
+def q_pochhammer(x: Fraction, t: Fraction, n: int) -> Fraction:
     """Finite product ``(x; t)_n = prod_{i=0}^{n-1} (1 - x t^i)``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    mode = common_mode(x, t)
-    one = 1.0 if mode == FLOAT else Fraction(1)
-    result = one
-    t_pow = one
+    result = Fraction(1)
+    t_pow = Fraction(1)
     for _ in range(n):
-        result *= one - x * t_pow
+        result *= 1 - x * t_pow
         t_pow *= t
     return result

@@ -11,10 +11,10 @@ suites to failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import bounds, definetti, measures, projection, qcore
-from .qcore import Scalar
 
 
 @dataclass
@@ -35,13 +35,13 @@ class SuiteResult:
         return condition
 
 
-def suite_qbinom(max_n: int, qs: Sequence[Scalar]) -> SuiteResult:
+def suite_qbinom(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
     """Level sums of both word statistics against the Gaussian binomial."""
     result = SuiteResult("qbinom-identity")
     for q in qs:
         for n in range(max_n + 1):
             for k in range(n + 1):
-                inv_sum = coinv_sum = qcore.one_like(q) * 0
+                inv_sum = coinv_sum = Fraction(0)
                 for w in qcore.enumerate_level(n, k):
                     inv = qcore.inversions(w)
                     coinv = qcore.coinversions(w)
@@ -73,7 +73,7 @@ def suite_qbinom(max_n: int, qs: Sequence[Scalar]) -> SuiteResult:
     return result
 
 
-def _measure_inventory(n: int, q: Scalar) -> list[measures.QExchMeasure]:
+def _measure_inventory(n: int, q: Fraction) -> list[measures.QExchMeasure]:
     inventory = [measures.extreme_measure(n, k, q) for k in range(n + 1)]
     inventory += [measures.q_bernoulli(n, e, q) for e in range(n + 1)]
     inventory += [measures.random_q_exch(n, q, seed) for seed in range(3)]
@@ -82,7 +82,7 @@ def _measure_inventory(n: int, q: Scalar) -> list[measures.QExchMeasure]:
     return inventory
 
 
-def suite_exchangeability(max_n: int, qs: Sequence[Scalar]) -> SuiteResult:
+def suite_exchangeability(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
     """Adjacent-swap rule on dense tables of every constructed measure."""
     result = SuiteResult("exchangeability")
     for q in qs:
@@ -99,7 +99,7 @@ def suite_exchangeability(max_n: int, qs: Sequence[Scalar]) -> SuiteResult:
     return result
 
 
-def suite_projection(max_n: int, qs: Sequence[Scalar]) -> SuiteResult:
+def suite_projection(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
     """Closed-form projections against the brute-force suffix sum."""
     result = SuiteResult("projection-oracle")
     for q in qs:
@@ -134,7 +134,7 @@ def suite_projection(max_n: int, qs: Sequence[Scalar]) -> SuiteResult:
     return result
 
 
-def suite_upper_bound(max_n: int, qs: Sequence[Scalar], max_k: int = 4, seeds: int = 3) -> SuiteResult:
+def suite_upper_bound(max_n: int, qs: Sequence[Fraction], max_k: int = 4, seeds: int = 3) -> SuiteResult:
     """Projection error dominated by ``upper_constant * q^n`` everywhere."""
     result = SuiteResult("upper-bound")
     for q in qs:
@@ -159,7 +159,7 @@ def suite_upper_bound(max_n: int, qs: Sequence[Scalar], max_k: int = 4, seeds: i
     return result
 
 
-def suite_sharpness(max_n: int, qs: Sequence[Scalar], max_k: int = 4) -> SuiteResult:
+def suite_sharpness(max_n: int, qs: Sequence[Fraction], max_k: int = 4) -> SuiteResult:
     """Lower bound for deep levels plus the technical inequality behind it."""
     result = SuiteResult("sharpness-lower")
     for q in qs:
@@ -182,7 +182,7 @@ def suite_sharpness(max_n: int, qs: Sequence[Scalar], max_k: int = 4) -> SuiteRe
     return result
 
 
-def suite_decomposition(max_n: int, qs: Sequence[Scalar], seeds: int = 5) -> SuiteResult:
+def suite_decomposition(max_n: int, qs: Sequence[Fraction], seeds: int = 5) -> SuiteResult:
     """Extreme-measure reconstruction and mixture identities."""
     result = SuiteResult("decomposition")
     for q in qs:
@@ -204,7 +204,7 @@ def suite_decomposition(max_n: int, qs: Sequence[Scalar], seeds: int = 5) -> Sui
                 mu = definetti.decompose(extremes[n1])
                 point = tuple(int(i == n1) for i in range(n + 1))
                 ok = result.require(
-                    tuple(mu.alpha) == tuple(qcore.one_like(q) * p for p in point),
+                    mu.alpha == point,
                     lambda: f"extreme decomposition not a point mass at n={n}, n1={n1}, q={q}",
                 )
                 delta = definetti.MixingMeasure(n, q, point)
@@ -217,7 +217,7 @@ def suite_decomposition(max_n: int, qs: Sequence[Scalar], seeds: int = 5) -> Sui
     return result
 
 
-def run_all(max_n: int, qs: Sequence[Scalar]) -> list[SuiteResult]:
+def run_all(max_n: int, qs: Sequence[Fraction]) -> list[SuiteResult]:
     return [
         suite_qbinom(max_n, qs),
         suite_exchangeability(max_n, qs),

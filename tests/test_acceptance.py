@@ -169,13 +169,13 @@ def test_criterion_5_sharpness_lower_bound():
 
 
 def test_criterion_6_rate_slope():
-    """Float-mode sweeps at q = 1/2, n1 = n, n in 12..24 fit a ln-distance
+    """Exact sweeps at q = 1/2, n1 = n, n in 12..24 fit a ln-distance
     slope within 0.05 of ln(1/2) for k in {1, 2, 3}.  Runtime < 10 s."""
     target = math.log(0.5)
     slopes = []
     for k in (1, 2, 3):
         reports = verify_rate(
-            RateSweepConfig(q=0.5, k=k, n_start=12, n_end=24, n1_rule="equal")
+            RateSweepConfig(q=HALF, k=k, n_start=12, n_end=24, n1_rule="equal")
         )
         slope = fit_log_slope(reports)
         assert abs(slope - target) <= 0.05, (k, slope, target)

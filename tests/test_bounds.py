@@ -187,8 +187,9 @@ def test_verify_rate_raises_on_violation(monkeypatch):
 
 
 def test_verify_rate_cold_and_warm_cache_agree(monkeypatch):
-    cfg = RateSweepConfig(q=0.5, k=1, n_start=1, n_end=80)
+    cfg = RateSweepConfig(q=HALF, k=1, n_start=1, n_end=80)
     monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
+    monkeypatch.setattr(qcore, "_QBINOM_READS", {})
     cold = verify_rate(cfg)
     assert verify_rate(cfg) == cold
     # sweeps run serially; the old worker-count variable is ignored, even malformed
@@ -200,7 +201,7 @@ def test_verify_rate_cold_and_warm_cache_agree(monkeypatch):
 # slope fit
 # ---------------------------------------------------------------------------
 
-def _geometric_reports(q: float, count: int) -> list[DistanceReport]:
+def _geometric_reports(q: Fraction, count: int) -> list[DistanceReport]:
     return [
         DistanceReport(n=n, k=1, n1=n, q=q, distance=q**n, upper=4 * q**n)
         for n in range(1, count + 1)
@@ -208,29 +209,30 @@ def _geometric_reports(q: float, count: int) -> list[DistanceReport]:
 
 
 def test_fit_log_slope_exact_geometric():
-    slope = fit_log_slope(_geometric_reports(0.5, 8))
+    slope = fit_log_slope(_geometric_reports(HALF, 8))
     assert slope == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_fit_log_slope_on_real_sweeps():
-    reports = verify_rate(RateSweepConfig(q=0.5, k=1, n_start=10, n_end=20))
+    reports = verify_rate(RateSweepConfig(q=HALF, k=1, n_start=10, n_end=20))
     assert fit_log_slope(reports) == pytest.approx(math.log(0.5), abs=0.05)
     reports = verify_rate(
-        RateSweepConfig(q=1 / 3, k=2, n_start=12, n_end=22, n1_rule="half")
+        RateSweepConfig(q=Fraction(1, 3), k=2, n_start=12, n_end=22, n1_rule="half")
     )
     assert fit_log_slope(reports) == pytest.approx(math.log(1 / 3), abs=0.05)
 
 
 def test_fit_log_slope_input_validation():
     with pytest.raises(ValueError):
-        fit_log_slope(_geometric_reports(0.5, 2))
+        fit_log_slope(_geometric_reports(HALF, 2))
     zeroes = [
-        DistanceReport(n=n, k=1, n1=0, q=0.5, distance=0.0, upper=1.0) for n in range(1, 9)
+        DistanceReport(n=n, k=1, n1=0, q=HALF, distance=Fraction(0), upper=Fraction(1))
+        for n in range(1, 9)
     ]
     with pytest.raises(ValueError):
         fit_log_slope(zeroes)
-    mixed_k = _geometric_reports(0.5, 4) + [
-        DistanceReport(n=9, k=2, n1=9, q=0.5, distance=0.5**9, upper=1.0)
+    mixed_k = _geometric_reports(HALF, 4) + [
+        DistanceReport(n=9, k=2, n1=9, q=HALF, distance=HALF**9, upper=Fraction(1))
     ]
     with pytest.raises(ValueError):
         fit_log_slope(mixed_k)

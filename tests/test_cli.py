@@ -10,6 +10,7 @@ from qexchange import (
     bounds,
     decompose,
     extreme_measure,
+    extreme_vs_bernoulli_distance,
     measure_to_json,
     measures,
     mixing_from_json,
@@ -52,8 +53,10 @@ def test_q_must_be_fraction_string(capsys):
     code, _, err = run_cli(capsys, "qbinom", "4", "2", "--q", "0.5")
     assert code == 2
     assert "fraction" in err
-    code, _, err = run_cli(capsys, "qbinom", "4", "2", "--q", "3/2")
-    assert code == 2
+    for bad in ("3/2", "1/1", "0/3", "1/0", "0/0", "2/3/4", ".5", "1e-1"):
+        code, out, err = run_cli(capsys, "qbinom", "4", "2", "--q", bad)
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("error: "), bad
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +128,7 @@ def test_sweep_empty_range(capsys):
 def test_sweep_float_mode_and_slope(capsys):
     code, out, err = run_cli(
         capsys,
-        "sweep", "--q", "1/2", "--k", "1", "--n", "12..24", "--n1", "equal",
-        "--mode", "float", "--fit-slope",
+        "sweep", "--q", "1/2", "--k", "1", "--n", "12..24", "--n1", "equal", "--fit-slope",
     )
     assert code == 0
     assert "fit_log_slope = " in err
@@ -135,13 +137,30 @@ def test_sweep_float_mode_and_slope(capsys):
 
 
 def test_sweep_decimal_q_requires_float_mode(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--q", "0.5", "--k", "1", "--n", "1..4")
+    # all arithmetic is exact, so a decimal q is an input error
+    code, out, err = run_cli(capsys, "sweep", "--q", "0.5", "--k", "1", "--n", "1..4")
     assert code == 2
-    code, out, _ = run_cli(
-        capsys, "sweep", "--q", "0.5", "--k", "1", "--n", "1..4", "--mode", "float"
-    )
+    assert out == ""
+    assert err.startswith("error: cannot parse q")
+
+
+def test_sweep_rejects_mode_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--q", "1/2", "--k", "2", "--n", "60..70", "--n1", "half", "--mode", "float"])
+    assert excinfo.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_sweep_no_false_violation_below_float_epsilon(capsys):
+    # q^n < 2^-52 here; a float |E - B| cancels to rounding noise from n = 64 on,
+    # while the exact distance stays near 6 q^n
+    code, out, _ = run_cli(capsys, "sweep", "--q", "1/2", "--k", "2", "--n", "60..70", "--n1", "half")
     assert code == 0
-    assert out.splitlines()[1].split(",")[3] == "0.5"
+    assert "VIOLATION" not in out
+    rows = {int(row.split(",")[0]): row.split(",") for row in out.splitlines()[1:]}
+    assert sorted(rows) == list(range(60, 71))
+    exact = extreme_vs_bernoulli_distance(64, 32, 2, HALF) / HALF**64
+    assert float(rows[64][7]) == float(exact)
 
 
 def test_sweep_json_format(capsys):
@@ -253,6 +272,26 @@ def test_decompose_bad_mass(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decompose", str(bad), "--k", "1")
     assert code == 2
     assert "mass" in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"n": 1, "q": "1/2", "base": ["1/0", "0"]}',
+        '{"n": 1, "q": "1/2", "base": [true, "0"]}',
+        '{"n": 1, "q": "1/2", "base": [1, 0]}',
+        '{"n": 1.9, "q": "1/2", "base": ["1/2", "1/2"]}',
+        '{"n": "1", "q": "1/2", "base": ["1/2", "1/2"]}',
+        '{"n": 1, "q": 0.5, "base": ["1/2", "1/2"]}',
+    ],
+)
+def test_decompose_non_fraction_fields(tmp_path, capsys, record):
+    bad = tmp_path / "bad.json"
+    bad.write_text(record)
+    code, out, err = run_cli(capsys, "decompose", str(bad), "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed measure record")
 
 
 def test_decompose_malformed_json(tmp_path, capsys):

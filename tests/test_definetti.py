@@ -202,7 +202,6 @@ def test_distance_report_fields():
     r = DistanceReport(n=2, k=1, n1=1, q=HALF, distance=Fraction(1, 3), upper=Fraction(1), lower=Fraction(1, 8))
     assert r.bounds_ok
     assert r.dist_over_qn == Fraction(4, 3)
-    assert r.mode == "exact"
     bad = DistanceReport(n=2, k=1, n1=1, q=HALF, distance=Fraction(2), upper=Fraction(1))
     assert not bad.bounds_ok
     low = DistanceReport(n=2, k=1, n1=1, q=HALF, distance=Fraction(0), upper=Fraction(1), lower=Fraction(1, 8))

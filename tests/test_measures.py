@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qexchange import (
     DenseMeasure,
     MeasureSampler,
-    ModeMismatchError,
+    MixingMeasure,
     QExchMeasure,
     Word,
     block_word,
@@ -18,6 +18,7 @@ from qexchange import (
     is_q_exchangeable,
     measure_from_json,
     measure_to_json,
+    mixing_from_json,
     q_bernoulli,
     q_binomial,
     random_q_exch,
@@ -42,10 +43,15 @@ def test_measure_validation():
         QExchMeasure(2, HALF, (Fraction(1), Fraction(0)))
     with pytest.raises(ValueError, match="nonnegative"):
         QExchMeasure(1, HALF, (Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(ModeMismatchError):
+    with pytest.raises(TypeError):
         QExchMeasure(1, HALF, (0.5, 0.5))
+    with pytest.raises(TypeError):
+        QExchMeasure(1, HALF, (True, 0))
+    with pytest.raises(TypeError):
+        QExchMeasure(1, 0.5, (HALF, HALF))
     with pytest.raises(ValueError):
         QExchMeasure(1, Fraction(2), (Fraction(1, 2), Fraction(1, 2)))
+    assert QExchMeasure(1, HALF, (1, 0)).base == (Fraction(1), Fraction(0))
 
 
 def test_dense_validation():
@@ -55,6 +61,8 @@ def test_dense_validation():
         DenseMeasure(2, (Fraction(1),))
     with pytest.raises(ValueError):
         DenseMeasure(30, (Fraction(1),))
+    with pytest.raises(TypeError):
+        DenseMeasure(2, (0.25,) * 4)
 
 
 def test_extreme_measure():
@@ -194,10 +202,10 @@ def test_wrong_q_detected():
 
 
 def test_is_q_exchangeable_float_mode():
-    d = to_dense(q_bernoulli(5, 2, 0.5))
-    assert is_q_exchangeable(d, 0.5) == (True, None)
-    uniform = DenseMeasure(2, (0.25,) * 4)
-    assert not is_q_exchangeable(uniform, 0.5)[0]
+    # q must be exact: a float is a type error, not compared with a tolerance
+    d = to_dense(q_bernoulli(5, 2, HALF))
+    with pytest.raises(TypeError):
+        is_q_exchangeable(d, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +221,9 @@ def test_random_q_exch_is_deterministic():
 
 
 def test_random_q_exch_float_mode():
-    m = random_q_exch(5, 0.5, 9)
-    assert m.mode == "float"
-    assert abs(sum(m.level_mass(k) for k in range(6)) - 1.0) < 1e-12
+    # q must be exact: a float is a type error
+    with pytest.raises(TypeError):
+        random_q_exch(5, 0.5, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +269,6 @@ def test_json_round_trip_random(n, seed, q):
     assert measure_from_json(measure_to_json(m)) == m
 
 
-def test_json_round_trip_float_mode():
-    m = random_q_exch(4, 0.5, 11)
-    again = measure_from_json(measure_to_json(m))
-    assert again.mode == "float"
-    assert again == m
-
-
 def test_json_schema_shape():
     record = json.loads(measure_to_json(extreme_measure(2, 1, HALF)))
     assert record == {"n": 2, "q": "1/2", "base": ["0", "2/3", "0"]}
@@ -282,3 +283,39 @@ def test_measure_from_json_rejects_garbage():
         measure_from_json('{"n": 2, "base": ["1"]}')
     with pytest.raises(ValueError, match="mass"):
         measure_from_json('{"n": 1, "q": "1/2", "base": ["1/2", "1/4"]}')
+
+
+# Each record is valid except for one field; "1/2" for both levels is a
+# probability measure at n = 1 as a base and as a mixing measure.
+MALFORMED_RECORDS = {
+    "zero denominator": {"n": 1, "q": "1/2", "v": ["1/0", "0"]},
+    "zero-denominator q": {"n": 1, "q": "1/0", "v": ["1/2", "1/2"]},
+    "boolean entry": {"n": 1, "q": "1/2", "v": [True, "0"]},
+    "number entries": {"n": 1, "q": "1/2", "v": [1, 0]},
+    "float entry": {"n": 1, "q": "1/2", "v": [0.5, "1/2"]},
+    "decimal string": {"n": 1, "q": "1/2", "v": ["0.5", "1/2"]},
+    "exponent string": {"n": 1, "q": "1/2", "v": ["5e-1", "1/2"]},
+    "number q": {"n": 1, "q": 0.5, "v": ["1/2", "1/2"]},
+    "float n": {"n": 1.9, "q": "1/2", "v": ["1/2", "1/2"]},
+    "string n": {"n": "1", "q": "1/2", "v": ["1/2", "1/2"]},
+    "boolean n": {"n": True, "q": "1/2", "v": ["1/2", "1/2"]},
+}
+
+
+def _record(case: dict, field: str) -> str:
+    return json.dumps({"n": case["n"], "q": case["q"], field: case["v"]})
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RECORDS))
+def test_json_rejects_non_fraction_fields(name):
+    case = MALFORMED_RECORDS[name]
+    with pytest.raises(ValueError, match="malformed"):
+        measure_from_json(_record(case, "base"))
+    with pytest.raises(ValueError, match="malformed"):
+        mixing_from_json(_record(case, "alpha"))
+
+
+def test_json_malformed_records_differ_from_a_valid_one_in_one_field():
+    good = {"n": 1, "q": "1/2", "v": ["1/2", "1/2"]}
+    assert measure_from_json(_record(good, "base")) == QExchMeasure(1, HALF, (HALF, HALF))
+    assert mixing_from_json(_record(good, "alpha")) == MixingMeasure(1, HALF, (HALF, HALF))

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qexchange import (
-    ModeMismatchError,
     Word,
     block_word,
     check_q,
     coinversions,
-    common_mode,
     enumerate_level,
     inversions,
     q_binomial,
@@ -20,7 +18,6 @@ from qexchange import (
     q_factorial,
     q_int,
     q_pochhammer,
-    scalar_mode,
     swap_adjacent,
 )
 from qexchange import qcore
@@ -34,39 +31,25 @@ bit_lists = st.lists(st.integers(0, 1), max_size=16)
 
 
 # ---------------------------------------------------------------------------
-# scalars and modes
+# the deformation parameter
 # ---------------------------------------------------------------------------
 
 def test_check_q_accepts_open_interval():
     assert check_q(HALF) == HALF
-    assert check_q(0.25) == 0.25
+    assert check_q(Fraction(999, 1000)) == Fraction(999, 1000)
 
 
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(1), Fraction(3, 2), 0.0, 1.0, -0.5])
 def test_check_q_rejects_endpoints_and_outside(bad):
-    with pytest.raises(ValueError):
+    # a float is rejected for its type before its value is looked at
+    with pytest.raises(TypeError if isinstance(bad, float) else ValueError):
         check_q(bad)
 
 
 def test_check_q_rejects_non_scalars():
-    with pytest.raises(TypeError):
-        check_q("1/2")
-
-
-def test_scalar_modes():
-    assert scalar_mode(HALF) == "exact"
-    assert scalar_mode(3) == "exact"
-    assert scalar_mode(0.5) == "float"
-    assert common_mode(HALF, 2) == "exact"
-    assert common_mode(0.5, 1) == "float"
-    assert common_mode(1, 2) == "exact"
-
-
-def test_mixed_modes_rejected():
-    with pytest.raises(ModeMismatchError):
-        common_mode(HALF, 0.5)
-    with pytest.raises(ModeMismatchError):
-        q_pochhammer(HALF, 0.5, 3)
+    for bad in ("1/2", 0.5, True):
+        with pytest.raises(TypeError):
+            check_q(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +201,9 @@ def test_q_binomial_errors_and_zero_convention():
 
 
 def test_q_binomial_float_mode():
-    assert q_binomial(4, 2, 0.5) == pytest.approx(35 / 16)
+    # q must be exact: a float is a type error, not a second code path
+    with pytest.raises(TypeError):
+        q_binomial(4, 2, 0.5)
 
 
 @pytest.fixture
@@ -226,15 +211,6 @@ def cold_cache(monkeypatch):
     """Empty q-binomial caches for one test; the shared ones return after it."""
     monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
     monkeypatch.setattr(qcore, "_QBINOM_READS", {})
-
-
-@pytest.mark.parametrize("first,second", [(HALF, 0.5), (0.5, HALF)])
-def test_q_binomial_cache_keeps_modes_apart(cold_cache, first, second):
-    # 0.5 == Fraction(1, 2) and the two hash alike, yet each mode needs its own rows
-    q_binomial(4, 2, first)
-    value = q_binomial(4, 2, second)
-    assert type(value) is type(second)
-    assert value == Fraction(35, 16)
 
 
 @pytest.mark.parametrize(
