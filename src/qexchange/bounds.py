@@ -186,7 +186,7 @@ def fit_log_slope(reports: Sequence[DistanceReport]) -> float:
     if len({r.k for r in usable}) != 1 or len({r.q for r in usable}) != 1:
         raise ValueError("slope fit requires reports sharing one k and one q")
     xs = [float(r.n) for r in usable]
-    ys = [math.log(float(r.distance)) for r in usable]
+    ys = [math.log(r.distance.numerator) - math.log(r.distance.denominator) for r in usable]
     if len(set(xs)) < 3:
         raise ValueError("slope fit requires at least 3 distinct n values")
     x_mean = sum(xs) / len(xs)

@@ -13,6 +13,7 @@ The extreme-vs-Bernoulli distance has a closed form over target levels:
                   * | [n - k, n1 - k1]_q / [n, n1]_q  -  (q^n1; 1/q)_k1 |
 
 which equals the total variation of the two k-dimensional pushforwards.
+``approx_error`` is the alpha-mix of the same level terms inside the ``|.|``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .measures import (
     _scalar_to_json,
     q_bernoulli,
 )
-from .projection import project, tv_distance
 
 
 @dataclass(frozen=True)
@@ -129,23 +129,19 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
     return QExchMeasure(n, mu.q, tuple(base))
 
 
-def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
-    """Exact TV distance between the k-projections of ``extreme(n, n1)`` and
-    the q-Bernoulli measure at ``x = q^n1``, by the closed-form level sum.
+def _level_gaps(n: int, n1: int, k: int, q: Fraction) -> tuple[list[int], int]:
+    """Signed level terms ``g[k1] / d`` of the k-projection of ``extreme(n, n1)``
+    minus that of the q-Bernoulli measure at ``x = q^n1``, in integers over
+    one denominator ``d = b^T N(n, n1)``, ``T`` the largest ``t`` below.  With
+    ``q = a/b``, ``j = n1 - k1`` and ``N`` the integer numerators of the
+    q-binomial cache, level ``k1 <= n1`` is (the others vanish)
 
-    The sum runs in integers over one common denominator ``b^E N(n, n1)``.
-    With ``q = a/b``, ``j = n1 - k1`` and ``N`` the integer numerators of the
-    q-binomial cache, level ``k1 <= n1`` contributes (the others vanish)
-
-        N(k, k1) a^e |N(n-k, j) b^(u+s) - P N(n, n1)| / (b^t N(n, n1))
+        N(k, k1) a^e (N(n-k, j) b^(u+s) - P N(n, n1)) / (b^t N(n, n1))
 
     where ``e = j (k - k1)``, ``P = prod_{i<k1} (b^(n1-i) - a^(n1-i))``,
     ``s = sum_{i<k1} (n1 - i)``, ``u = n1 (n - n1) - j (n - k - j) >= 0`` and
     ``t = s + k1 (k - k1) + e``.  ``N(n-k, j)`` is zero when ``j > n - k``.
     """
-    check_q(q)
-    if not (0 <= k <= n and 0 <= n1 <= n):
-        raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
     a, b = q.numerator, q.denominator
     whole = q_binomial_numerator(n, n1, q)
     terms = []
@@ -157,21 +153,37 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fract
         if j <= n - k:
             u = n1 * (n - n1) - j * (n - k - j)
             extreme = q_binomial_numerator(n - k, j, q) * b ** (u + s)
-        diff = abs(extreme - poch * whole)
+        diff = extreme - poch * whole
         terms.append((q_binomial_numerator(k, k1, q) * a**e * diff, s + k1 * (k - k1) + e))
         poch *= b ** (n1 - k1) - a ** (n1 - k1)
         s += n1 - k1
     top = max(t for _, t in terms)
-    return Fraction(sum(x * b ** (top - t) for x, t in terms), whole * b**top)
+    return [x * b ** (top - t) for x, t in terms], whole * b**top
+
+
+def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
+    """Exact TV distance between the k-projections of ``extreme(n, n1)`` and
+    the q-Bernoulli measure at ``x = q^n1``, by the closed-form level sum."""
+    check_q(q)
+    if not (0 <= k <= n and 0 <= n1 <= n):
+        raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
+    gaps, d = _level_gaps(n, n1, k, q)
+    return Fraction(sum(map(abs, gaps)), d)
 
 
 def approx_error(m: QExchMeasure, k: int) -> Fraction:
     """TV distance between the k-projection of ``m`` and the k-projection of
-    its canonical q-Bernoulli mixture."""
+    its canonical q-Bernoulli mixture, from the level masses alone."""
     if not 0 <= k <= m.n:
         raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
-    mixed = mixture(decompose(m), m.n)
-    return tv_distance(project(m, k), project(mixed, k))
+    levels = [Fraction(0)] * (k + 1)
+    for n1 in range(m.n + 1):
+        alpha = m.level_mass(n1)
+        if alpha:
+            gaps, d = _level_gaps(m.n, n1, k, m.q)
+            for k1, g in enumerate(gaps):
+                levels[k1] += alpha * g / d
+    return sum(map(abs, levels))
 
 
 def mixing_to_json(mu: MixingMeasure) -> str:

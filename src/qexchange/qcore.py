@@ -163,6 +163,7 @@ def enumerate_level(n: int, k: int) -> Iterator[Word]:
 
 def q_int(n: int, q: Fraction) -> Fraction:
     """The q-integer ``1 + q + ... + q^(n-1)``; equals ``(1 - q^n)/(1 - q)``."""
+    _fraction_parts(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     total = Fraction(0)
@@ -175,6 +176,7 @@ def q_int(n: int, q: Fraction) -> Fraction:
 
 def q_factorial(n: int, q: Fraction) -> Fraction:
     """Product of the q-integers 1..n; empty product is 1."""
+    _fraction_parts(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     result = Fraction(1)
@@ -187,17 +189,16 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
 # ``q = a/b`` in lowest terms.  Row ``n`` holds the integer numerators
 # ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))``, which obey the division-free
 # recurrence ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``; a reduced
-# Fraction is built only when ``q_binomial`` reads an entry, and that read is
-# memoised.  Rows are only ever appended, under a lock, so a reader never sees
-# a partial row or a row at the wrong index.
+# Fraction is built only when ``q_binomial`` reads an entry.  Rows are only
+# ever appended, under a lock, so a reader never sees a partial row or a row
+# at the wrong index.
 _QBINOM_ROWS: dict[tuple[int, int], list[list[int]]] = {}
-_QBINOM_READS: dict[tuple[int, int, int, int], Fraction] = {}
 _QBINOM_LOCK = threading.Lock()
 
 
-def _fraction_parts(q: Fraction) -> tuple[int, int]:
+def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
     if not isinstance(q, Fraction):
-        raise TypeError(f"q must be a Fraction, got {type(q).__name__}")
+        raise TypeError(f"{name} must be a Fraction, got {type(q).__name__}")
     return q.numerator, q.denominator
 
 
@@ -235,13 +236,7 @@ def q_binomial(n: int, k: int, q: Fraction) -> Fraction:
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     a, b = _fraction_parts(q)
-    # Keyed by integers: hashing a Fraction costs a modular inverse per call.
-    key = (n, k, a, b)
-    value = _QBINOM_READS.get(key)
-    if value is None:
-        value = Fraction(_qbinom_rows(a, b, n)[n][k], b ** (k * (n - k)))
-        _QBINOM_READS[key] = value
-    return value
+    return Fraction(_qbinom_rows(a, b, n)[n][k], b ** (k * (n - k)))
 
 
 def q_binomial_or_zero(n: int, k: int, q: Fraction) -> Fraction:
@@ -257,6 +252,8 @@ def q_binomial_or_zero(n: int, k: int, q: Fraction) -> Fraction:
 
 def q_pochhammer(x: Fraction, t: Fraction, n: int) -> Fraction:
     """Finite product ``(x; t)_n = prod_{i=0}^{n-1} (1 - x t^i)``."""
+    _fraction_parts(x, "x")
+    _fraction_parts(t, "t")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     result = Fraction(1)

@@ -11,7 +11,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qexchange import DenseMeasure, QExchMeasure, Word, to_dense
+from qexchange import (
+    DenseMeasure,
+    QExchMeasure,
+    Word,
+    decompose,
+    mixture,
+    project,
+    to_dense,
+    tv_distance,
+)
 
 
 def pair_statistics(bits: tuple[int, ...]) -> tuple[int, int]:
@@ -47,6 +56,16 @@ def q_binomial_row(n: int, q: Fraction) -> list[Fraction]:
     for k in range(1, n + 1):
         row.append(row[-1] * (1 - q ** (n - k + 1)) / (1 - q**k))
     return row
+
+
+def materialised_approx_error(m: QExchMeasure, k: int) -> Fraction:
+    """The projection error by building the canonical mixture on ``{0,1}^n``.
+
+    Mixes ``n + 1`` q-Bernoulli measures by the level masses of ``m``, then
+    projects both measures and sums their TV distance: none of the level-sum
+    algebra that ``approx_error`` evaluates.
+    """
+    return tv_distance(project(m, k), project(mixture(decompose(m), m.n), k))
 
 
 def dense_projection_table(m: QExchMeasure, k: int) -> list:

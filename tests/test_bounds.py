@@ -189,7 +189,6 @@ def test_verify_rate_raises_on_violation(monkeypatch):
 def test_verify_rate_cold_and_warm_cache_agree(monkeypatch):
     cfg = RateSweepConfig(q=HALF, k=1, n_start=1, n_end=80)
     monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
-    monkeypatch.setattr(qcore, "_QBINOM_READS", {})
     cold = verify_rate(cfg)
     assert verify_rate(cfg) == cold
     # sweeps run serially; the old worker-count variable is ignored, even malformed
@@ -220,6 +219,15 @@ def test_fit_log_slope_on_real_sweeps():
         RateSweepConfig(q=Fraction(1, 3), k=2, n_start=12, n_end=22, n1_rule="half")
     )
     assert fit_log_slope(reports) == pytest.approx(math.log(1 / 3), abs=0.05)
+
+
+def test_fit_log_slope_below_float_range():
+    # float(2**-1070) rounds to 0.0, so the log must come from the exact parts
+    reports = [
+        DistanceReport(n=n, k=1, n1=n, q=HALF, distance=HALF**n, upper=4 * HALF**n)
+        for n in (1070, 1080, 1090)
+    ]
+    assert fit_log_slope(reports) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_fit_log_slope_input_validation():

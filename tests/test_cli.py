@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexchange import (
     bounds,
@@ -360,3 +365,69 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "35/16"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over generated argv and measure files
+# ---------------------------------------------------------------------------
+
+Q_TEXTS = ("1/2", "2/3", "0/1", "1/1", "3/2", "1/0", "0.5", "abc", "")
+small_ints = st.integers(-2, 12).map(str)
+q_texts = st.sampled_from(Q_TEXTS)
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | q_texts | st.text(max_size=4)
+)
+measure_texts = st.one_of(
+    st.builds(
+        lambda n, q, seed: measure_to_json(random_q_exch(n, q, seed)),
+        st.integers(0, 8), st.sampled_from([HALF, Fraction(2, 3)]), st.integers(0, 5),
+    ),
+    st.fixed_dictionaries(
+        {"n": json_scalars, "q": json_scalars, "base": st.lists(json_scalars, max_size=6)}
+    ).map(json.dumps),
+    st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6).map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(
+        ["qbinom", "distance", "sweep", "decompose", "random-measure", "verify-all"]
+    ))
+    n, k, n1, q = draw(small_ints), draw(small_ints), draw(small_ints), draw(q_texts)
+    if command == "qbinom":
+        return [command, n, k, "--q", q], None
+    if command == "distance":
+        return [command, "--n", n, "--n1", n1, "--k", k, "--q", q], None
+    if command == "sweep":
+        rule = draw(st.sampled_from(["half", "equal", f"fixed:{n1}", "bogus"]))
+        argv = [command, "--q", q, "--k", k, "--n", f"{n}..{draw(small_ints)}", "--n1", rule]
+        return argv + draw(st.sampled_from([[], ["--fit-slope"], ["--format", "json"]])), None
+    if command == "decompose":
+        return [command, "measure.json", "--k", k], draw(measure_texts)
+    if command == "random-measure":
+        return [command, "--n", n, "--q", q, "--seed", draw(small_ints)], None
+    max_n = str(draw(st.integers(-2, 2)))
+    return [command, "--max-n", max_n, "--q", ",".join(draw(st.lists(q_texts, max_size=3)))], None
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_exit_codes_keep_their_meaning(case):
+    # 0 ok, 1 a failed mathematical check (reported on stdout), 2 bad usage or input
+    argv, measure_text = case
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if measure_text is not None:
+            path = Path(tmp) / argv[1]
+            path.write_text(measure_text)
+            argv = [argv[0], str(path), *argv[2:]]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert {"FAIL", "VIOLATION"} & set(re.split(r"[\s,]+", out.getvalue()))

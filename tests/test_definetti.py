@@ -22,6 +22,7 @@ from qexchange import (
     to_dense,
     tv_distance,
 )
+from oracles import materialised_approx_error
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -167,6 +168,23 @@ def test_approx_error_of_extreme_equals_pair_distance():
             e = extreme_measure(n, n1, HALF)
             for k in range(n + 1):
                 assert approx_error(e, k) == extreme_vs_bernoulli_distance(n, n1, k, HALF)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(3, 7)])
+def test_approx_error_matches_materialised_mixture(q):
+    for n in range(13):
+        measures = [random_q_exch(n, q, seed) for seed in range(3)]
+        measures += [extreme_measure(n, n1, q) for n1 in range(n + 1)]
+        measures += [q_bernoulli(n, n1, q) for n1 in range(n + 1)]
+        for m in measures:
+            for k in range(n + 1):
+                assert approx_error(m, k) == materialised_approx_error(m, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_approx_error_matches_materialised_mixture_at_n64(seed):
+    m = random_q_exch(64, Fraction(2, 3), seed)
+    assert approx_error(m, 4) == materialised_approx_error(m, 4)
 
 
 def test_approx_error_vanishes_at_k_zero():

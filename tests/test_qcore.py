@@ -204,13 +204,23 @@ def test_q_binomial_float_mode():
     # q must be exact: a float is a type error, not a second code path
     with pytest.raises(TypeError):
         q_binomial(4, 2, 0.5)
+    for call in (
+        lambda: q_int(3, 0.5),
+        lambda: q_int(0, 0.5),
+        lambda: q_factorial(3, 0.5),
+        lambda: q_factorial(0, 0.5),
+        lambda: q_pochhammer(0.5, HALF, 3),
+        lambda: q_pochhammer(HALF, 0.5, 0),
+        lambda: q_pochhammer(1, HALF, 2),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.fixture
 def cold_cache(monkeypatch):
-    """Empty q-binomial caches for one test; the shared ones return after it."""
+    """An empty q-binomial cache for one test; the shared one returns after it."""
     monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
-    monkeypatch.setattr(qcore, "_QBINOM_READS", {})
 
 
 @pytest.mark.parametrize(
@@ -236,7 +246,7 @@ def test_q_binomial_numerator_errors():
 
 def test_q_pochhammer():
     assert q_pochhammer(Fraction(3, 7), Fraction(1, 5), 0) == 1
-    assert q_pochhammer(1, Fraction(2), 4) == 0
+    assert q_pochhammer(Fraction(1), Fraction(2), 4) == 0
     assert q_pochhammer(Fraction(1, 4), Fraction(2), 2) == Fraction(3, 8)
     with pytest.raises(ValueError):
         q_pochhammer(HALF, HALF, -1)
