@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .qcore import Word, check_q, coinversions, q_binomial
+from .qcore import Word, check_q, coinversions, q_binomial, q_binomial_numerator
 
 #: Dense tabulation is 2^n entries; past this the compact form is mandatory.
 MAX_DENSE_N = 24
@@ -46,6 +46,13 @@ def _coerce_entries(values, what: str) -> tuple[Fraction, ...]:
             raise ValueError(f"{what} entries must be nonnegative, got {v}")
         out.append(v)
     return tuple(out)
+
+
+def _times_binomial(x: Fraction, n: int, k: int, q: Fraction) -> Fraction:
+    """``x * [n, k]_q`` through the integer numerator, so the binomial's own
+    Fraction, whose construction is a gcd of two coprime big integers, is
+    never built."""
+    return x * q_binomial_numerator(n, k, q) / q.denominator ** (k * (n - k))
 
 
 def _check_total_mass(total: Fraction, what: str) -> None:
@@ -74,12 +81,12 @@ class QExchMeasure:
         if len(base) != self.n + 1:
             raise ValueError(f"base must have n + 1 = {self.n + 1} entries, got {len(base)}")
         object.__setattr__(self, "base", base)
-        total = sum(base[k] * q_binomial(self.n, k, self.q) for k in range(self.n + 1))
+        total = sum(_times_binomial(base[k], self.n, k, self.q) for k in range(self.n + 1))
         _check_total_mass(total, "measure")
 
     def level_mass(self, k: int) -> Fraction:
         """Total probability of the words with exactly ``k`` ones."""
-        return self.base[k] * q_binomial(self.n, k, self.q)
+        return _times_binomial(self.base[k], self.n, k, self.q)
 
     def to_json_dict(self) -> dict:
         return {
