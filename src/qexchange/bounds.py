@@ -102,8 +102,8 @@ class RateSweepConfig:
     """Grid description for a rate sweep.
 
     ``n1_rule`` selects the source level for each n: ``"equal"`` uses n
-    itself, ``"half"`` uses ``n // 2``, ``"fixed"`` uses ``n1_fixed`` for
-    every n, and ``"list"`` runs every exponent in ``n1_list`` at every n.
+    itself, ``"half"`` uses ``n // 2`` and ``"fixed"`` uses ``n1_fixed`` for
+    every n.
     """
 
     q: Fraction
@@ -112,7 +112,6 @@ class RateSweepConfig:
     n_end: int
     n1_rule: str = "equal"
     n1_fixed: Optional[int] = None
-    n1_list: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         check_q(self.q)
@@ -125,11 +124,6 @@ class RateSweepConfig:
         if self.n1_rule == "fixed":
             if self.n1_fixed is None or not 0 <= self.n1_fixed <= self.n_start:
                 raise ValueError(f"fixed n1 must lie in 0..{self.n_start}, got {self.n1_fixed}")
-        elif self.n1_rule == "list":
-            if not self.n1_list:
-                raise ValueError("list rule requires a nonempty n1_list")
-            if any(not 0 <= v <= self.n_start for v in self.n1_list):
-                raise ValueError(f"every listed n1 must lie in 0..{self.n_start}")
         elif self.n1_rule not in ("equal", "half"):
             raise ValueError(f"unknown n1 rule {self.n1_rule!r}")
 
@@ -138,9 +132,7 @@ class RateSweepConfig:
             return (n,)
         if self.n1_rule == "half":
             return (n // 2,)
-        if self.n1_rule == "fixed":
-            return (self.n1_fixed,)
-        return self.n1_list
+        return (self.n1_fixed,)
 
     def grid(self) -> list[tuple[int, int]]:
         return [

@@ -2,10 +2,10 @@
 
 Exit codes are stable across subcommands: 0 for success, 1 for a failed
 mathematical check (a bound or invariant that should have held), 2 for usage
-or input errors.  The parameter q is accepted only as an exact fraction
-string like ``1/2``.  All arithmetic is exact; floats appear only as
-rounded display copies: the CSV columns of ``sweep``, the bracketed values of
-``distance`` and the ``*_float`` fields of ``decompose``.
+or input errors.  q is read in the fraction grammar of measure files, so
+``1/2`` is accepted and ``0.5`` is not.  All arithmetic is exact; floats are
+only rounded display copies: the CSV columns of ``sweep``, the bracketed
+values of ``distance`` and the ``*_float`` fields of ``decompose``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .qcore import check_q, q_binomial
 
 CSV_HEADER = "n,k,n1,q,distance,upper,lower,dist_over_qn"
 
-_FRACTION_RE = re.compile(r"^\d+/\d+$")
-_RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+_RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 
 class _UsageError(Exception):
@@ -31,7 +30,7 @@ class _UsageError(Exception):
 
 
 def _parse_q(text: str) -> Fraction:
-    if not _FRACTION_RE.match(text):
+    if not measures._FRACTION_RE.fullmatch(text):
         raise _UsageError(f"cannot parse q {text!r}; expected a fraction like 1/2")
     try:
         return check_q(Fraction(text))
@@ -44,7 +43,7 @@ def _parse_q_list(text: str) -> list[Fraction]:
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
-    match = _RANGE_RE.match(text)
+    match = _RANGE_RE.fullmatch(text)
     if not match:
         raise _UsageError(f"cannot parse n range {text!r}; expected START..END or a single value")
     start = int(match.group(1))
@@ -57,7 +56,7 @@ def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
         return text, None
     if text.startswith("fixed:"):
         tail = text[len("fixed:"):]
-        if not tail.isdigit():
+        if not (tail.isascii() and tail.isdigit()):
             raise _UsageError(f"fixed n1 rule needs an integer, got {text!r}")
         return "fixed", int(tail)
     raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
@@ -76,10 +75,6 @@ def _fmt_float(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _fmt_exact(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -88,7 +83,7 @@ def cmd_qbinom(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     if not 0 <= args.k <= args.n:
         raise _UsageError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
-    print(_fmt_exact(q_binomial(args.n, args.k, q)))
+    print(q_binomial(args.n, args.k, q))
     return 0
 
 
@@ -96,19 +91,20 @@ def cmd_distance(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     if not (0 <= args.k <= args.n and 0 <= args.n1 <= args.n):
         raise _UsageError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={args.n}, n1={args.n1}, k={args.k}")
-    distance = definetti.extreme_vs_bernoulli_distance(args.n, args.n1, args.k, q)
-    upper = bounds.upper_constant(args.k, q) * q**args.n
-    lower = bounds.lower_constant(args.k, q) * q**args.n if args.n1 >= args.k >= 1 else None
-    report = definetti.DistanceReport(
-        n=args.n, k=args.k, n1=args.n1, q=q, distance=distance, upper=upper, lower=lower
+    cfg = bounds.RateSweepConfig(
+        q=q, k=args.k, n_start=args.n, n_end=args.n, n1_rule="fixed", n1_fixed=args.n1
     )
+    try:
+        (report,) = bounds.verify_rate(cfg)
+    except bounds.RateViolationError as exc:
+        report = exc.report
     print(f"n={args.n} n1={args.n1} k={args.k} q={q}")
-    print(f"distance = {_fmt_exact(distance)} ({_fmt_float(distance)})")
-    print(f"upper = {_fmt_exact(upper)} ({_fmt_float(upper)})")
-    if lower is None:
+    print(f"distance = {report.distance} ({_fmt_float(report.distance)})")
+    print(f"upper = {report.upper} ({_fmt_float(report.upper)})")
+    if report.lower is None:
         print("lower = n/a (requires n1 >= k >= 1)")
     else:
-        print(f"lower = {_fmt_exact(lower)} ({_fmt_float(lower)})")
+        print(f"lower = {report.lower} ({_fmt_float(report.lower)})")
     print("PASS" if report.bounds_ok else "FAIL")
     return 0 if report.bounds_ok else 1
 
@@ -120,7 +116,7 @@ def _report_row(r: definetti.DistanceReport) -> str:
             str(r.n),
             str(r.k),
             str(r.n1),
-            _fmt_exact(r.q),
+            str(r.q),
             _fmt_float(r.distance),
             _fmt_float(r.upper),
             lower,
@@ -134,11 +130,11 @@ def _report_record(r: definetti.DistanceReport) -> dict:
         "n": r.n,
         "k": r.k,
         "n1": r.n1,
-        "q": _fmt_exact(r.q),
-        "distance": _fmt_exact(r.distance),
-        "upper": _fmt_exact(r.upper),
-        "lower": None if r.lower is None else _fmt_exact(r.lower),
-        "dist_over_qn": _fmt_exact(r.dist_over_qn),
+        "q": str(r.q),
+        "distance": str(r.distance),
+        "upper": str(r.upper),
+        "lower": None if r.lower is None else str(r.lower),
+        "dist_over_qn": str(r.dist_over_qn),
     }
 
 
@@ -150,7 +146,7 @@ def _render_sweep(reports, fmt: str, violation: Optional[definetti.DistanceRepor
     if violation is not None:
         lines.append(
             f"VIOLATION,n={violation.n},n1={violation.n1},k={violation.k},"
-            f"distance={_fmt_exact(violation.distance)}"
+            f"distance={violation.distance}"
         )
     text = "\n".join(lines) + "\n"
     if fmt == "table":
@@ -213,9 +209,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     record = {
         "mixing": mu.to_json_dict(),
         "k": args.k,
-        "approx_error": measures._scalar_to_json(error),
+        "approx_error": str(error),
         "approx_error_float": float(error),
-        "upper_bound": measures._scalar_to_json(cap),
+        "upper_bound": str(cap),
         "upper_bound_float": float(cap),
         "pass": passed,
     }

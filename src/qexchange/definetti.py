@@ -25,51 +25,22 @@ from typing import Optional
 import json
 
 from .qcore import check_q, q_binomial_numerator
-from .measures import (
-    QExchMeasure,
-    _check_total_mass,
-    _coerce_entries,
-    _int_from_json,
-    _scalar_from_json,
-    _scalar_to_json,
-    q_bernoulli,
-)
+from .measures import QExchMeasure, _check_total_mass, _LevelRecord, q_bernoulli
 
 
 @dataclass(frozen=True)
-class MixingMeasure:
+class MixingMeasure(_LevelRecord):
     """Weights ``alpha[i]`` on the grid points ``q^i``, ``i = 0..n``."""
 
     n: int
     q: Fraction
     alpha: tuple[Fraction, ...]
 
+    _key = "alpha"
+    _what = "mixing-measure"
+
     def __post_init__(self) -> None:
-        check_q(self.q)
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        alpha = _coerce_entries(self.alpha, "alpha")
-        if len(alpha) != self.n + 1:
-            raise ValueError(f"alpha must have n + 1 = {self.n + 1} entries, got {len(alpha)}")
-        object.__setattr__(self, "alpha", alpha)
-        _check_total_mass(sum(alpha), "mixing measure")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": _scalar_to_json(self.q),
-            "alpha": [_scalar_to_json(a) for a in self.alpha],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MixingMeasure":
-        try:
-            n = _int_from_json(d["n"])
-            q = _scalar_from_json(d["q"])
-            alpha = tuple(_scalar_from_json(a) for a in d["alpha"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed mixing-measure record: {exc}") from exc
-        return cls(n, q, alpha)
+        _check_total_mass(sum(self._check_levels()), "mixing measure")
 
 
 @dataclass(frozen=True)
@@ -191,10 +162,4 @@ def mixing_to_json(mu: MixingMeasure) -> str:
 
 
 def mixing_from_json(text: str) -> MixingMeasure:
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed mixing-measure JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError("malformed mixing-measure JSON: expected an object")
-    return MixingMeasure.from_json_dict(record)
+    return MixingMeasure.from_json(text)

@@ -7,12 +7,15 @@ block words ``1^k 0^(n-k)``.  :class:`QExchMeasure` stores exactly those
 :class:`DenseMeasure` is the brute-force counterpart, a full table over all
 ``2^n`` words, used as an oracle and for measures that are not q-exchangeable.
 
-JSON wire format (round-trips bit for bit):
+JSON wire format of a measure and of its mixing measure (round-trips bit
+for bit):
 
     {"n": 3, "q": "1/2", "base": ["1/7", "0", ...]}
+    {"n": 3, "q": "1/2", "alpha": ["1/7", "0", ...]}
 
-``n`` is a JSON integer and every scalar is a fraction string; anything else
-is rejected with ``ValueError``.
+``n`` is a JSON integer, the vector is a JSON array of ``n + 1`` entries, and
+every scalar is a fraction string such as ``"1/3"`` or ``"0"``; anything else
+is rejected with ``ValueError``.  The CLI reads ``--q`` with the same grammar.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .qcore import Word, check_q, coinversions, q_binomial, q_binomial_numerator
 #: Dense tabulation is 2^n entries; past this the compact form is mandatory.
 MAX_DENSE_N = 24
 
-#: The scalar wire form: ``str(Fraction)`` output such as ``"1/3"`` or ``"0"``.
-_FRACTION_JSON_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+#: The one fraction grammar, of JSON scalars and ``--q``: ``"1/3"``, ``"0"``.
+_FRACTION_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _coerce_entries(values, what: str) -> tuple[Fraction, ...]:
@@ -60,8 +63,60 @@ def _check_total_mass(total: Fraction, what: str) -> None:
         raise ValueError(f"{what} total mass must be exactly 1, got {total}")
 
 
+class _LevelRecord:
+    """The shape shared by a compact measure and its mixing measure: ``n``,
+    ``q`` and one nonnegative Fraction per level ``0..n``, stored in the field
+    named by ``_key``.  Subclasses are frozen dataclasses; ``_what`` names the
+    record in JSON errors."""
+
+    _key: str
+    _what: str
+
+    def _check_levels(self) -> tuple[Fraction, ...]:
+        """Validate ``q``, ``n`` and the level vector; store and return the
+        vector with ints promoted to Fractions."""
+        check_q(self.q)
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
+        levels = _coerce_entries(getattr(self, self._key), self._key)
+        if len(levels) != self.n + 1:
+            raise ValueError(f"{self._key} must have n + 1 = {self.n + 1} entries, got {len(levels)}")
+        object.__setattr__(self, self._key, levels)
+        return levels
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "q": str(self.q),
+            self._key: [str(x) for x in getattr(self, self._key)],
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        try:
+            n = _int_from_json(d["n"])
+            q = _scalar_from_json(d["q"])
+            levels = d[cls._key]
+            if not isinstance(levels, list):
+                raise ValueError(f"{cls._key} must be a JSON array, got {type(levels).__name__}")
+            levels = tuple(_scalar_from_json(x) for x in levels)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed {cls._what} record: {exc}") from exc
+        return cls(n, q, levels)
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed {cls._what} JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"malformed {cls._what} JSON: expected an object")
+        return cls.from_json_dict(record)
+
+
 @dataclass(frozen=True)
-class QExchMeasure:
+class QExchMeasure(_LevelRecord):
     """Compact q-exchangeable measure: ``base[k]`` is the block-word value.
 
     Validated on construction: ``base`` has length ``n + 1``, entries are
@@ -73,37 +128,17 @@ class QExchMeasure:
     q: Fraction
     base: tuple[Fraction, ...]
 
+    _key = "base"
+    _what = "measure"
+
     def __post_init__(self) -> None:
-        check_q(self.q)
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        base = _coerce_entries(self.base, "base")
-        if len(base) != self.n + 1:
-            raise ValueError(f"base must have n + 1 = {self.n + 1} entries, got {len(base)}")
-        object.__setattr__(self, "base", base)
+        base = self._check_levels()
         total = sum(_times_binomial(base[k], self.n, k, self.q) for k in range(self.n + 1))
         _check_total_mass(total, "measure")
 
     def level_mass(self, k: int) -> Fraction:
         """Total probability of the words with exactly ``k`` ones."""
         return _times_binomial(self.base[k], self.n, k, self.q)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": _scalar_to_json(self.q),
-            "base": [_scalar_to_json(b) for b in self.base],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QExchMeasure":
-        try:
-            n = _int_from_json(d["n"])
-            q = _scalar_from_json(d["q"])
-            base = tuple(_scalar_from_json(b) for b in d["base"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed measure record: {exc}") from exc
-        return cls(n, q, base)
 
 
 @dataclass(frozen=True)
@@ -291,14 +326,10 @@ def sample(m: QExchMeasure, rng: random.Random) -> Word:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _scalar_to_json(x: Fraction) -> str:
-    return str(x)
-
-
 def _scalar_from_json(v) -> Fraction:
     """Parse a fraction string; JSON numbers, decimals and exponents are
     rejected, so a short file cannot ask for a huge power of ten."""
-    if not isinstance(v, str) or not _FRACTION_JSON_RE.fullmatch(v):
+    if not isinstance(v, str) or not _FRACTION_RE.fullmatch(v):
         raise ValueError(f"scalar must be a fraction string like \"1/3\", got {v!r}")
     try:
         return Fraction(v)
@@ -317,10 +348,4 @@ def measure_to_json(m: QExchMeasure) -> str:
 
 
 def measure_from_json(text: str) -> QExchMeasure:
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed measure JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError("malformed measure JSON: expected an object")
-    return QExchMeasure.from_json_dict(record)
+    return QExchMeasure.from_json(text)

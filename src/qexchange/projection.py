@@ -33,10 +33,9 @@ def project(m: QExchMeasure, k: int) -> QExchMeasure:
     for k1 in range(k + 1):
         acc = Fraction(0)
         for j in range(k1, k1 + (m.n - k) + 1):
-            weight = q_binomial_or_zero(m.n - k, j - k1, m.q)
-            if weight == 0 or m.base[j] == 0:
+            if m.base[j] == 0:
                 continue
-            acc += m.q ** ((j - k1) * (k - k1)) * weight * m.base[j]
+            acc += m.q ** ((j - k1) * (k - k1)) * q_binomial(m.n - k, j - k1, m.q) * m.base[j]
         base.append(acc)
     return QExchMeasure(k, m.q, tuple(base))
 

@@ -22,7 +22,6 @@ probability of its level, and each ascent pair costs one factor of ``q``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -190,10 +189,8 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
 # ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))``, which obey the division-free
 # recurrence ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``; a reduced
 # Fraction is built only when ``q_binomial`` reads an entry.  Rows are only
-# ever appended, under a lock, so a reader never sees a partial row or a row
-# at the wrong index.
+# ever appended, so a row list a caller holds stays valid.
 _QBINOM_ROWS: dict[tuple[int, int], list[list[int]]] = {}
-_QBINOM_LOCK = threading.Lock()
 
 
 def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
@@ -210,16 +207,15 @@ def _qbinom_rows(a: int, b: int, n: int) -> list[list[int]]:
     for _ in range(n):
         a_pow.append(a_pow[-1] * a)
         b_pow.append(b_pow[-1] * b)
-    with _QBINOM_LOCK:
-        rows = _QBINOM_ROWS.setdefault((a, b), [[1]])
-        while len(rows) <= n:
-            prev = rows[-1]
-            r = len(rows)
-            row = [1]
-            for k in range(1, r):
-                row.append(a_pow[k] * prev[k] + b_pow[r - k] * prev[k - 1])
-            row.append(1)
-            rows.append(row)
+    rows = _QBINOM_ROWS.setdefault((a, b), [[1]])
+    while len(rows) <= n:
+        prev = rows[-1]
+        r = len(rows)
+        row = [1]
+        for k in range(1, r):
+            row.append(a_pow[k] * prev[k] + b_pow[r - k] * prev[k - 1])
+        row.append(1)
+        rows.append(row)
     return rows
 
 

@@ -127,8 +127,6 @@ def test_config_rules():
     assert RateSweepConfig(q=HALF, k=1, n_start=1, n_end=3).n1_values(3) == (3,)
     fixed = RateSweepConfig(q=HALF, k=1, n_start=2, n_end=5, n1_rule="fixed", n1_fixed=2)
     assert fixed.n1_values(4) == (2,)
-    listed = RateSweepConfig(q=HALF, k=1, n_start=3, n_end=4, n1_rule="list", n1_list=(0, 2, 3))
-    assert listed.grid() == [(3, 0), (3, 2), (3, 3), (4, 0), (4, 2), (4, 3)]
 
 
 @pytest.mark.parametrize(
@@ -138,7 +136,7 @@ def test_config_rules():
         dict(q=HALF, k=3, n_start=2, n_end=6),
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="fixed", n1_fixed=3),
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="fixed"),
-        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="list", n1_list=()),
+        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="list"),
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="nope"),
         dict(q=Fraction(3, 2), k=1, n_start=2, n_end=6),
     ],

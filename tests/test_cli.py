@@ -58,7 +58,7 @@ def test_q_must_be_fraction_string(capsys):
     code, _, err = run_cli(capsys, "qbinom", "4", "2", "--q", "0.5")
     assert code == 2
     assert "fraction" in err
-    for bad in ("3/2", "1/1", "0/3", "1/0", "0/0", "2/3/4", ".5", "1e-1"):
+    for bad in ("3/2", "1/1", "0/3", "1/0", "0/0", "2/3/4", ".5", "1e-1", "1/2\n", "\u0661/\u0662"):
         code, out, err = run_cli(capsys, "qbinom", "4", "2", "--q", bad)
         assert (code, out) == (2, ""), bad
         assert err.startswith("error: "), bad
@@ -88,6 +88,15 @@ def test_distance_single_bit(capsys):
     code, out, _ = run_cli(capsys, "distance", "--n", "1", "--n1", "1", "--k", "1", "--q", "1/2")
     assert code == 0
     assert "distance = 1 " in out
+
+
+def test_distance_violation(monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "upper_constant", lambda k, q: q * 0)
+    code, out, _ = run_cli(capsys, "distance", "--n", "2", "--n1", "1", "--k", "1", "--q", "1/2")
+    assert code == 1
+    assert "distance = 1/3" in out
+    assert "upper = 0 (0)" in out
+    assert out.strip().endswith("FAIL")
 
 
 def test_distance_usage_error(capsys):
@@ -230,6 +239,16 @@ def test_sweep_fixed_rule_out_of_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "n_range, rule",
+    [("3..5\n", "half"), ("\u0663..\u0665", "half"), ("3..5", "fixed:\u00b2"), ("3..5", "fixed:\u0662")],
+)
+def test_sweep_takes_only_ascii_digits(capsys, n_range, rule):
+    code, out, err = run_cli(capsys, "sweep", "--q", "1/2", "--k", "1", "--n", n_range, "--n1", rule)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # decompose and random-measure
 # ---------------------------------------------------------------------------
@@ -288,6 +307,7 @@ def test_decompose_bad_mass(tmp_path, capsys):
         '{"n": 1.9, "q": "1/2", "base": ["1/2", "1/2"]}',
         '{"n": "1", "q": "1/2", "base": ["1/2", "1/2"]}',
         '{"n": 1, "q": 0.5, "base": ["1/2", "1/2"]}',
+        '{"n": 1, "q": "1/2", "base": "10"}',
     ],
 )
 def test_decompose_non_fraction_fields(tmp_path, capsys, record):

@@ -299,6 +299,8 @@ MALFORMED_RECORDS = {
     "float n": {"n": 1.9, "q": "1/2", "v": ["1/2", "1/2"]},
     "string n": {"n": "1", "q": "1/2", "v": ["1/2", "1/2"]},
     "boolean n": {"n": True, "q": "1/2", "v": ["1/2", "1/2"]},
+    "string vector": {"n": 1, "q": "1/2", "v": "10"},
+    "object vector": {"n": 1, "q": "1/2", "v": {"1": "0", "0": "1"}},
 }
 
 
