@@ -19,7 +19,6 @@ from .qcore import (
     inversions,
     q_binomial,
     q_binomial_numerator,
-    q_binomial_or_zero,
     q_factorial,
     q_int,
     q_pochhammer,
@@ -33,11 +32,8 @@ from .measures import (
     evaluate,
     extreme_measure,
     is_q_exchangeable,
-    measure_from_json,
-    measure_to_json,
     q_bernoulli,
     random_q_exch,
-    sample,
     to_dense,
 )
 from .projection import (
@@ -52,8 +48,6 @@ from .definetti import (
     approx_error,
     decompose,
     extreme_vs_bernoulli_distance,
-    mixing_from_json,
-    mixing_to_json,
     mixture,
 )
 from .bounds import (
@@ -92,10 +86,6 @@ __all__ = [
     "inversions",
     "is_q_exchangeable",
     "lower_constant",
-    "measure_from_json",
-    "measure_to_json",
-    "mixing_from_json",
-    "mixing_to_json",
     "mixture",
     "project",
     "project_bernoulli_closed_form",
@@ -103,12 +93,10 @@ __all__ = [
     "q_bernoulli",
     "q_binomial",
     "q_binomial_numerator",
-    "q_binomial_or_zero",
     "q_factorial",
     "q_int",
     "q_pochhammer",
     "random_q_exch",
-    "sample",
     "swap_adjacent",
     "tech_lemma_lhs_rhs",
     "to_dense",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qcore import check_q, q_binomial
+from .qcore import check_q, q_binomial, q_pochhammer
 from .definetti import DistanceReport, extreme_vs_bernoulli_distance
 
 
@@ -82,16 +82,14 @@ def lower_constant(k: int, q: Fraction) -> Fraction:
 def tech_lemma_lhs_rhs(n: int, k: int, q: Fraction) -> tuple[Fraction, Fraction]:
     """Both sides of the sharpness inequality, contract ``L >= R``.
 
-    ``L = (1 - prod_{i<k}(1 - q^(n-i))) / prod_{i<k}(1 - q^(n-i))`` and
-    ``R = ((q^(1-k) - q)/(1-q)) * q^n``, which equals the geometric sum
+    ``L = (1 - P) / P`` with ``P = (q^n; 1/q)_k = prod_{i<k}(1 - q^(n-i))``,
+    and ``R = ((q^(1-k) - q)/(1-q)) * q^n``, which equals the geometric sum
     ``sum_{i<k} q^(n-i)`` exactly.
     """
     check_q(q)
     if not 1 <= k <= n:
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    prod = Fraction(1)
-    for i in range(k):
-        prod *= 1 - q ** (n - i)
+    prod = q_pochhammer(q**n, 1 / q, k)
     lhs = (1 - prod) / prod
     rhs = (q ** (1 - k) - q) / (1 - q) * q**n
     return lhs, rhs

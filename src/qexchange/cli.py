@@ -2,16 +2,18 @@
 
 Exit codes are stable across subcommands: 0 for success, 1 for a failed
 mathematical check (a bound or invariant that should have held), 2 for usage
-or input errors.  q is read in the fraction grammar of measure files, so
-``1/2`` is accepted and ``0.5`` is not.  All arithmetic is exact; floats are
-only rounded display copies: the CSV columns of ``sweep``, the bracketed
-values of ``distance`` and the ``*_float`` fields of ``decompose``.
+or input errors, an unwritable stdout or ``--out`` path included.  q is read
+in the fraction grammar of measure files, so ``1/2`` is accepted and ``0.5``
+is not.  All arithmetic is exact; floats are only rounded display copies: the
+CSV columns of ``sweep``, the bracketed values of ``distance`` and the
+``*_float`` fields of ``decompose``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -62,13 +64,33 @@ def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
     raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write an ``--out`` file; an unwritable path is an input error (exit 2)."""
+def _emit(text: str, path: Optional[str] = None) -> None:
+    """Write ``text`` to the ``--out`` path, or to stdout when there is none;
+    an unwritable destination is an input error (exit 2)."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if not path:
+            _discard_stdout()
+        raise _UsageError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device.  The unwritten text stays
+    buffered, and the interpreter's flush at exit would fail on it again and
+    turn exit 2 into exit 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # a stdout with no descriptor has no exit flush to fail
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _fmt_float(x) -> str:
@@ -83,7 +105,7 @@ def cmd_qbinom(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     if not 0 <= args.k <= args.n:
         raise _UsageError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
-    print(q_binomial(args.n, args.k, q))
+    _emit(f"{q_binomial(args.n, args.k, q)}\n")
     return 0
 
 
@@ -98,14 +120,17 @@ def cmd_distance(args: argparse.Namespace) -> int:
         (report,) = bounds.verify_rate(cfg)
     except bounds.RateViolationError as exc:
         report = exc.report
-    print(f"n={args.n} n1={args.n1} k={args.k} q={q}")
-    print(f"distance = {report.distance} ({_fmt_float(report.distance)})")
-    print(f"upper = {report.upper} ({_fmt_float(report.upper)})")
     if report.lower is None:
-        print("lower = n/a (requires n1 >= k >= 1)")
+        lower = "n/a (requires n1 >= k >= 1)"
     else:
-        print(f"lower = {report.lower} ({_fmt_float(report.lower)})")
-    print("PASS" if report.bounds_ok else "FAIL")
+        lower = f"{report.lower} ({_fmt_float(report.lower)})"
+    _emit(
+        f"n={args.n} n1={args.n1} k={args.k} q={q}\n"
+        f"distance = {report.distance} ({_fmt_float(report.distance)})\n"
+        f"upper = {report.upper} ({_fmt_float(report.upper)})\n"
+        f"lower = {lower}\n"
+        f"{'PASS' if report.bounds_ok else 'FAIL'}\n"
+    )
     return 0 if report.bounds_ok else 1
 
 
@@ -176,11 +201,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         reports = exc.reports
         violation = exc.report
 
-    text = _render_sweep(reports, args.format, violation)
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(_render_sweep(reports, args.format, violation), args.out)
 
     if args.fit_slope:
         try:
@@ -194,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     try:
         with open(args.measure) as fh:
-            m = measures.measure_from_json(fh.read())
+            m = measures.QExchMeasure.from_json(fh.read())
     except OSError as exc:
         raise _UsageError(f"cannot read measure file: {exc}") from exc
     except ValueError as exc:
@@ -215,9 +236,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "upper_bound_float": float(cap),
         "pass": passed,
     }
-    print(json.dumps(record, indent=2))
+    _emit(json.dumps(record, indent=2) + "\n")
     if args.out:
-        _write_out(args.out, definetti.mixing_to_json(mu) + "\n")
+        _emit(mu.to_json() + "\n", args.out)
     return 0 if passed else 1
 
 
@@ -226,11 +247,7 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise _UsageError(f"n must be >= 0, got {args.n}")
     m = measures.random_q_exch(args.n, q, args.seed)
-    text = measures.measure_to_json(m) + "\n"
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(m.to_json() + "\n", args.out)
     return 0
 
 
@@ -242,17 +259,17 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         raise _UsageError("need at least one q value")
     results = verify.run_all(args.max_n, qs)
     width = max(len(r.name) for r in results)
+    lines = []
     for r in results:
         status = "OK" if r.ok else "FAIL"
-        print(f"{r.name.ljust(width)}  {r.checks:7d} checks  {status}")
+        lines.append(f"{r.name.ljust(width)}  {r.checks:7d} checks  {status}")
         if not r.ok:
-            print(f"  first counterexample: {r.failures[0]}")
+            lines.append(f"  first counterexample: {r.failures[0]}")
     total = sum(r.checks for r in results)
-    if all(r.ok for r in results):
-        print(f"ALL OK ({total} checks)")
-        return 0
-    print(f"FAILED ({total} checks)")
-    return 1
+    ok = all(r.ok for r in results)
+    lines.append(f"{'ALL OK' if ok else 'FAILED'} ({total} checks)")
+    _emit("\n".join(lines) + "\n")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import json
-
 from .qcore import check_q, q_binomial_numerator
 from .measures import QExchMeasure, _check_total_mass, _LevelRecord, q_bernoulli
 
@@ -155,11 +153,3 @@ def approx_error(m: QExchMeasure, k: int) -> Fraction:
             for k1, g in enumerate(gaps):
                 levels[k1] += alpha * g / d
     return sum(map(abs, levels))
-
-
-def mixing_to_json(mu: MixingMeasure) -> str:
-    return json.dumps(mu.to_json_dict())
-
-
-def mixing_from_json(text: str) -> MixingMeasure:
-    return MixingMeasure.from_json(text)

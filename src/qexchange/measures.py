@@ -6,9 +6,11 @@ block words ``1^k 0^(n-k)``.  :class:`QExchMeasure` stores exactly those
 ``n + 1`` base values; everything else is ``q^coinversions * base[ones]``.
 :class:`DenseMeasure` is the brute-force counterpart, a full table over all
 ``2^n`` words, used as an oracle and for measures that are not q-exchangeable.
+:class:`MeasureSampler` draws words from a compact measure.
 
-JSON wire format of a measure and of its mixing measure (round-trips bit
-for bit):
+JSON wire format of a measure and of its mixing measure, written by
+``to_json`` and read by the classmethod ``from_json`` (round-trips bit for
+bit):
 
     {"n": 3, "q": "1/2", "base": ["1/7", "0", ...]}
     {"n": 3, "q": "1/2", "alpha": ["1/7", "0", ...]}
@@ -25,7 +27,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .qcore import Word, check_q, coinversions, q_binomial, q_binomial_numerator
 
@@ -91,18 +93,8 @@ class _LevelRecord:
             self._key: [str(x) for x in getattr(self, self._key)],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict):
-        try:
-            n = _int_from_json(d["n"])
-            q = _scalar_from_json(d["q"])
-            levels = d[cls._key]
-            if not isinstance(levels, list):
-                raise ValueError(f"{cls._key} must be a JSON array, got {type(levels).__name__}")
-            levels = tuple(_scalar_from_json(x) for x in levels)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed {cls._what} record: {exc}") from exc
-        return cls(n, q, levels)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str):
@@ -112,7 +104,16 @@ class _LevelRecord:
             raise ValueError(f"malformed {cls._what} JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise ValueError(f"malformed {cls._what} JSON: expected an object")
-        return cls.from_json_dict(record)
+        try:
+            n = _int_from_json(record["n"])
+            q = _scalar_from_json(record["q"])
+            levels = record[cls._key]
+            if not isinstance(levels, list):
+                raise ValueError(f"{cls._key} must be a JSON array, got {type(levels).__name__}")
+            levels = tuple(_scalar_from_json(x) for x in levels)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed {cls._what} record: {exc}") from exc
+        return cls(n, q, levels)
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,6 @@ class DenseMeasure:
         if w.length != self.n:
             raise ValueError(f"word length {w.length} does not match dimension {self.n}")
         return self.weights[w.packed]
-
-    def items(self) -> Iterator[tuple[Word, Fraction]]:
-        for packed, value in enumerate(self.weights):
-            yield Word(packed, self.n), value
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +216,8 @@ def random_q_exch(n: int, q: Fraction, seed: int) -> QExchMeasure:
     measure.
     """
     check_q(q)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     rng = random.Random(seed)
     raw = [Fraction(rng.randint(0, 10**6)) for _ in range(n + 1)]
     total = sum(raw)
@@ -317,11 +316,6 @@ class MeasureSampler:
         return Word(packed, self.n)
 
 
-def sample(m: QExchMeasure, rng: random.Random) -> Word:
-    """Draw one word; for bulk draws build a :class:`MeasureSampler` once."""
-    return MeasureSampler(m).draw(rng)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -341,11 +335,3 @@ def _int_from_json(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"n must be a JSON integer, got {v!r}")
     return v
-
-
-def measure_to_json(m: QExchMeasure) -> str:
-    return json.dumps(m.to_json_dict())
-
-
-def measure_from_json(text: str) -> QExchMeasure:
-    return QExchMeasure.from_json(text)

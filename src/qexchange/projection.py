@@ -4,12 +4,14 @@ Projecting a q-exchangeable measure onto its first ``k`` coordinates yields a
 q-exchangeable measure again, so the pushforward stays in compact form.  The
 suffix sum collapses to a level-transition weight: a target level ``k1``
 receives mass from each source level ``j`` with weight
-``q^((j - k1)(k - k1)) * [n - k, j - k1]_q``.
+``q^((j - k1)(k - k1)) * [n - k, j - k1]_q``.  The two closed forms give that
+pushforward's block values for an extreme measure and for a q-Bernoulli
+measure; the latter's factor ``(q^n1; 1/q)_k1`` is :func:`q_pochhammer`.
 
 Total variation is the plain L1 sum ``sum_w |a(w) - b(w)|``, which equals
 twice the supremum of ``|a(A) - b(A)|`` over events; for two compact measures
-with the same q the sum collapses level by level to
-``sum_k1 [n, k1]_q * |a.base[k1] - b.base[k1]|``.
+with the same q the sum collapses to the level masses,
+``sum_k1 |a.level_mass(k1) - b.level_mass(k1)|``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .qcore import check_q, q_binomial, q_binomial_or_zero
+from .qcore import check_q, q_binomial, q_pochhammer
 from .measures import DenseMeasure, QExchMeasure, to_dense
 
 Measure = Union[QExchMeasure, DenseMeasure]
@@ -50,10 +52,9 @@ def project_extreme_closed_form(n: int, n1: int, k: int, k1: int, q: Fraction) -
     check_q(q)
     if not (0 <= k1 <= k <= n and 0 <= n1 <= n):
         raise ValueError(f"need 0 <= k1 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}, k1={k1}")
-    inner = q_binomial_or_zero(n - k, n1 - k1, q)
-    if inner == 0:
-        return inner
-    return q ** ((n1 - k1) * (k - k1)) * inner / q_binomial(n, n1, q)
+    if not 0 <= n1 - k1 <= n - k:
+        return Fraction(0)
+    return q ** ((n1 - k1) * (k - k1)) * q_binomial(n - k, n1 - k1, q) / q_binomial(n, n1, q)
 
 
 def project_bernoulli_closed_form(n1: int, k: int, k1: int, q: Fraction) -> Fraction:
@@ -67,16 +68,7 @@ def project_bernoulli_closed_form(n1: int, k: int, k1: int, q: Fraction) -> Frac
         raise ValueError(f"need 0 <= k1 <= k, got k={k}, k1={k1}")
     if n1 < 0:
         raise ValueError(f"need n1 >= 0, got {n1}")
-    if k1 > n1:
-        return Fraction(0)
-    poch = Fraction(1)
-    for i in range(k1):
-        poch *= 1 - q ** (n1 - i)
-    return q ** ((n1 - k1) * (k - k1)) * poch
-
-
-def _densify(m: Measure) -> DenseMeasure:
-    return m if isinstance(m, DenseMeasure) else to_dense(m)
+    return q ** ((n1 - k1) * (k - k1)) * q_pochhammer(q**n1, 1 / q, k1)
 
 
 def tv_distance(a: Measure, b: Measure) -> Fraction:
@@ -89,9 +81,6 @@ def tv_distance(a: Measure, b: Measure) -> Fraction:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if isinstance(a, QExchMeasure) and isinstance(b, QExchMeasure) and a.q == b.q:
-        return sum(
-            q_binomial(a.n, k1, a.q) * abs(a.base[k1] - b.base[k1])
-            for k1 in range(a.n + 1)
-        )
-    da, db = _densify(a), _densify(b)
+        return sum(abs(a.level_mass(k1) - b.level_mass(k1)) for k1 in range(a.n + 1))
+    da, db = (m if isinstance(m, DenseMeasure) else to_dense(m) for m in (a, b))
     return sum(abs(x - y) for x, y in zip(da.weights, db.weights))

@@ -235,17 +235,6 @@ def q_binomial(n: int, k: int, q: Fraction) -> Fraction:
     return Fraction(_qbinom_rows(a, b, n)[n][k], b ** (k * (n - k)))
 
 
-def q_binomial_or_zero(n: int, k: int, q: Fraction) -> Fraction:
-    """Gaussian binomial extended by the convention ``[n,k] = 0`` off range.
-
-    Closed-form projection formulas index binomials with differences that can
-    leave ``0 <= k <= n``; those terms carry zero mass.
-    """
-    if k < 0 or k > n:
-        return Fraction(0)
-    return q_binomial(n, k, q)
-
-
 def q_pochhammer(x: Fraction, t: Fraction, n: int) -> Fraction:
     """Finite product ``(x; t)_n = prod_{i=0}^{n-1} (1 - x t^i)``."""
     _fraction_parts(x, "x")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,13 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexchange import (
+    MixingMeasure,
+    QExchMeasure,
     bounds,
     decompose,
     extreme_measure,
     extreme_vs_bernoulli_distance,
-    measure_to_json,
     measures,
-    mixing_from_json,
     random_q_exch,
 )
 from qexchange.cli import CSV_HEADER, main
@@ -216,7 +217,7 @@ def test_sweep_out_file(tmp_path, capsys):
 )
 def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     measure_path = tmp_path / "m.json"
-    measure_path.write_text(measure_to_json(extreme_measure(3, 1, HALF)))
+    measure_path.write_text(extreme_measure(3, 1, HALF).to_json())
     argv = [a.format(measure=measure_path) for a in argv]
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
     assert code == 2
@@ -265,14 +266,14 @@ def test_decompose_random_measure(tmp_path, capsys):
     record = json.loads(out)
     assert record["pass"] is True
     expected = decompose(random_q_exch(6, HALF, 3))
-    reingested = mixing_from_json(json.dumps(record["mixing"]))
+    reingested = MixingMeasure.from_json(json.dumps(record["mixing"]))
     assert reingested == expected
     assert Fraction(record["approx_error"]) <= Fraction(record["upper_bound"])
 
 
 def test_decompose_extreme_is_point_mass(tmp_path, capsys):
     measure_path = tmp_path / "e.json"
-    measure_path.write_text(measure_to_json(extreme_measure(5, 2, HALF)))
+    measure_path.write_text(extreme_measure(5, 2, HALF).to_json())
     code, out, _ = run_cli(capsys, "decompose", str(measure_path), "--k", "3")
     assert code == 0
     record = json.loads(out)
@@ -282,12 +283,12 @@ def test_decompose_extreme_is_point_mass(tmp_path, capsys):
 def test_decompose_out_file_round_trip(tmp_path, capsys):
     measure_path = tmp_path / "m.json"
     mixing_path = tmp_path / "mu.json"
-    measure_path.write_text(measure_to_json(random_q_exch(5, Fraction(1, 3), 9)))
+    measure_path.write_text(random_q_exch(5, Fraction(1, 3), 9).to_json())
     code, _, _ = run_cli(
         capsys, "decompose", str(measure_path), "--k", "2", "--out", str(mixing_path)
     )
     assert code == 0
-    assert mixing_from_json(mixing_path.read_text()) == decompose(random_q_exch(5, Fraction(1, 3), 9))
+    assert MixingMeasure.from_json(mixing_path.read_text()) == decompose(random_q_exch(5, Fraction(1, 3), 9))
 
 
 def test_decompose_bad_mass(tmp_path, capsys):
@@ -335,7 +336,7 @@ def test_decompose_missing_file(capsys):
 def test_random_measure_stdout(capsys):
     code, out, _ = run_cli(capsys, "random-measure", "--n", "3", "--q", "1/3", "--seed", "7")
     assert code == 0
-    assert measures.measure_from_json(out) == random_q_exch(3, Fraction(1, 3), 7)
+    assert QExchMeasure.from_json(out) == random_q_exch(3, Fraction(1, 3), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +388,38 @@ def test_module_entry_point():
     assert result.stdout.strip() == "35/16"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qbinom", "4", "2", "--q", "1/2"],
+        ["distance", "--n", "2", "--n1", "1", "--k", "1", "--q", "1/2"],
+        ["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
+        ["decompose", "{measure}", "--k", "2"],
+        ["random-measure", "--n", "64", "--q", "2/3"],
+        ["verify-all", "--max-n", "2", "--q", "1/2"],
+    ],
+)
+def test_unwritable_stdout_is_usage_error(tmp_path, argv):
+    # a full stdout is bad output, not a failed check (1) or a failed exit flush (120)
+    measure_path = tmp_path / "m.json"
+    measure_path.write_text(random_q_exch(4, HALF, 0).to_json())
+    argv = [a.format(measure=measure_path) for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qexchange", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write stdout")
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract over generated argv and measure files
 # ---------------------------------------------------------------------------
@@ -399,7 +432,7 @@ json_scalars = (
 )
 measure_texts = st.one_of(
     st.builds(
-        lambda n, q, seed: measure_to_json(random_q_exch(n, q, seed)),
+        lambda n, q, seed: random_q_exch(n, q, seed).to_json(),
         st.integers(0, 8), st.sampled_from([HALF, Fraction(2, 3)]), st.integers(0, 5),
     ),
     st.fixed_dictionaries(

@@ -10,8 +10,6 @@ from qexchange import (
     extreme_measure,
     extreme_vs_bernoulli_distance,
     is_q_exchangeable,
-    mixing_from_json,
-    mixing_to_json,
     mixture,
     project,
     project_bernoulli_closed_form,
@@ -105,9 +103,9 @@ def test_mixing_measure_validation():
 
 def test_mixing_json_round_trip():
     mu = decompose(random_q_exch(5, Fraction(1, 3), 8))
-    assert mixing_from_json(mixing_to_json(mu)) == mu
+    assert MixingMeasure.from_json(mu.to_json()) == mu
     with pytest.raises(ValueError, match="malformed"):
-        mixing_from_json("[]")
+        MixingMeasure.from_json("[]")
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,9 @@ from qexchange import (
     evaluate,
     extreme_measure,
     is_q_exchangeable,
-    measure_from_json,
-    measure_to_json,
-    mixing_from_json,
     q_bernoulli,
     q_binomial,
     random_q_exch,
-    sample,
     swap_adjacent,
     to_dense,
 )
@@ -221,9 +217,11 @@ def test_random_q_exch_is_deterministic():
 
 
 def test_random_q_exch_float_mode():
-    # q must be exact: a float is a type error
+    # q must be exact: a float is a type error; a negative n is a value error
     with pytest.raises(TypeError):
         random_q_exch(5, 0.5, 9)
+    with pytest.raises(ValueError):
+        random_q_exch(-1, HALF, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +231,10 @@ def test_random_q_exch_float_mode():
 def test_sample_point_supports():
     rng = random.Random(0)
     all_ones = extreme_measure(5, 5, HALF)
-    assert all(sample(all_ones, rng) == Word.from_bits((1,) * 5) for _ in range(20))
-    all_zeros = q_bernoulli(4, 0, HALF)
-    assert all(sample(all_zeros, rng) == Word(0, 4) for _ in range(20))
+    sampler = MeasureSampler(all_ones)
+    assert all(sampler.draw(rng) == Word.from_bits((1,) * 5) for _ in range(20))
+    sampler = MeasureSampler(q_bernoulli(4, 0, HALF))
+    assert all(sampler.draw(rng) == Word(0, 4) for _ in range(20))
 
 
 def test_sampler_one_bit_frequency():
@@ -259,30 +258,30 @@ def test_sampler_respects_support():
 
 def test_json_round_trip_examples():
     m = q_bernoulli(3, 2, Fraction(1, 3))
-    assert measure_from_json(measure_to_json(m)) == m
+    assert QExchMeasure.from_json(m.to_json()) == m
 
 
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(0, 9), seed=st.integers(0, 10**6), q=st.sampled_from(QS))
 def test_json_round_trip_random(n, seed, q):
     m = random_q_exch(n, q, seed)
-    assert measure_from_json(measure_to_json(m)) == m
+    assert QExchMeasure.from_json(m.to_json()) == m
 
 
 def test_json_schema_shape():
-    record = json.loads(measure_to_json(extreme_measure(2, 1, HALF)))
+    record = json.loads(extreme_measure(2, 1, HALF).to_json())
     assert record == {"n": 2, "q": "1/2", "base": ["0", "2/3", "0"]}
 
 
 def test_measure_from_json_rejects_garbage():
     with pytest.raises(ValueError, match="malformed"):
-        measure_from_json("{not json")
+        QExchMeasure.from_json("{not json")
     with pytest.raises(ValueError, match="malformed"):
-        measure_from_json('["list"]')
+        QExchMeasure.from_json('["list"]')
     with pytest.raises(ValueError, match="malformed"):
-        measure_from_json('{"n": 2, "base": ["1"]}')
+        QExchMeasure.from_json('{"n": 2, "base": ["1"]}')
     with pytest.raises(ValueError, match="mass"):
-        measure_from_json('{"n": 1, "q": "1/2", "base": ["1/2", "1/4"]}')
+        QExchMeasure.from_json('{"n": 1, "q": "1/2", "base": ["1/2", "1/4"]}')
 
 
 # Each record is valid except for one field; "1/2" for both levels is a
@@ -312,12 +311,12 @@ def _record(case: dict, field: str) -> str:
 def test_json_rejects_non_fraction_fields(name):
     case = MALFORMED_RECORDS[name]
     with pytest.raises(ValueError, match="malformed"):
-        measure_from_json(_record(case, "base"))
+        QExchMeasure.from_json(_record(case, "base"))
     with pytest.raises(ValueError, match="malformed"):
-        mixing_from_json(_record(case, "alpha"))
+        MixingMeasure.from_json(_record(case, "alpha"))
 
 
 def test_json_malformed_records_differ_from_a_valid_one_in_one_field():
     good = {"n": 1, "q": "1/2", "v": ["1/2", "1/2"]}
-    assert measure_from_json(_record(good, "base")) == QExchMeasure(1, HALF, (HALF, HALF))
-    assert mixing_from_json(_record(good, "alpha")) == MixingMeasure(1, HALF, (HALF, HALF))
+    assert QExchMeasure.from_json(_record(good, "base")) == QExchMeasure(1, HALF, (HALF, HALF))
+    assert MixingMeasure.from_json(_record(good, "alpha")) == MixingMeasure(1, HALF, (HALF, HALF))

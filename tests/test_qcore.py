@@ -14,7 +14,6 @@ from qexchange import (
     inversions,
     q_binomial,
     q_binomial_numerator,
-    q_binomial_or_zero,
     q_factorial,
     q_int,
     q_pochhammer,
@@ -190,14 +189,13 @@ def test_q_binomial_symmetry_and_factorial_ratio():
                 assert qb == q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
 
 
-def test_q_binomial_errors_and_zero_convention():
+def test_q_binomial_errors():
+    # off range is an error here; the closed forms' zero corners are asserted in
+    # test_projection.py::test_closed_form_out_of_range_corners_are_zero
     with pytest.raises(ValueError):
         q_binomial(2, 3, HALF)
     with pytest.raises(ValueError):
         q_binomial(2, -1, HALF)
-    assert q_binomial_or_zero(2, 3, HALF) == 0
-    assert q_binomial_or_zero(2, -1, HALF) == 0
-    assert q_binomial_or_zero(2, 1, HALF) == q_binomial(2, 1, HALF)
 
 
 def test_q_binomial_float_mode():
