@@ -2,17 +2,20 @@
 
 Exit codes are stable across subcommands: 0 for success, 1 for a failed
 mathematical check (a bound or invariant that should have held), 2 for usage
-or input errors, an unwritable stdout or ``--out`` path included.  q is read
-in the fraction grammar of measure files, so ``1/2`` is accepted and ``0.5``
-is not.  All arithmetic is exact; floats are only rounded display copies: the
-CSV columns of ``sweep``, the bracketed values of ``distance`` and the
-``*_float`` fields of ``decompose``.
+or input errors, an unwritable stdout, stderr or ``--out`` path included.  q is
+read in the fraction grammar of measure files, so ``1/2`` is accepted and
+``0.5`` is not.  All arithmetic is exact; floats are only rounded display
+copies: the CSV columns of ``sweep``, the bracketed values of ``distance`` and
+the ``*_float`` fields of ``decompose``, with a value past the float range
+shown as an infinity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -64,37 +67,63 @@ def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
     raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
 
 
-def _emit(text: str, path: Optional[str] = None) -> None:
-    """Write ``text`` to the ``--out`` path, or to stdout when there is none;
-    an unwritable destination is an input error (exit 2)."""
+def _emit(text: str, path: Optional[str] = None, stream=None) -> None:
+    """Write ``text`` to the ``--out`` path, or else to ``stream`` (stdout by
+    default) and flush it; an unwritable destination is an input error
+    (exit 2)."""
+    stream = stream or sys.stdout
     try:
         if path:
             with open(path, "w") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            stream.write(text)
+            stream.flush()
     except OSError as exc:
         if not path:
-            _discard_stdout()
-        raise _UsageError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
+            _discard(stream)
+        name = path or ("stderr" if stream is sys.stderr else "stdout")
+        raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device.  The unwritten text stays
-    buffered, and the interpreter's flush at exit would fail on it again and
-    turn exit 2 into exit 120."""
+def _discard(stream) -> None:
+    """Point a standard stream's descriptor at the null device.  The unwritten
+    text stays buffered, and the interpreter's flush at exit would fail on it
+    again and turn exit 2 into exit 120."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (OSError, ValueError):
-        return  # a stdout with no descriptor has no exit flush to fail
+        return  # a stream with no descriptor has no exit flush to fail
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift the interpreter's int-to-str digit limit while exact output is
+    formatted.  Readers keep the limit, so an over-long input entry stays a
+    malformed input."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _float(x) -> float:
+    """``x`` rounded to a float for display; an infinity past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _fmt_float(x) -> str:
-    return f"{float(x):.17g}"
+    return f"{_float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +134,8 @@ def cmd_qbinom(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     if not 0 <= args.k <= args.n:
         raise _UsageError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
-    _emit(f"{q_binomial(args.n, args.k, q)}\n")
+    with _exact_digits():
+        _emit(f"{q_binomial(args.n, args.k, q)}\n")
     return 0
 
 
@@ -120,17 +150,18 @@ def cmd_distance(args: argparse.Namespace) -> int:
         (report,) = bounds.verify_rate(cfg)
     except bounds.RateViolationError as exc:
         report = exc.report
-    if report.lower is None:
-        lower = "n/a (requires n1 >= k >= 1)"
-    else:
-        lower = f"{report.lower} ({_fmt_float(report.lower)})"
-    _emit(
-        f"n={args.n} n1={args.n1} k={args.k} q={q}\n"
-        f"distance = {report.distance} ({_fmt_float(report.distance)})\n"
-        f"upper = {report.upper} ({_fmt_float(report.upper)})\n"
-        f"lower = {lower}\n"
-        f"{'PASS' if report.bounds_ok else 'FAIL'}\n"
-    )
+    with _exact_digits():
+        if report.lower is None:
+            lower = "n/a (requires n1 >= k >= 1)"
+        else:
+            lower = f"{report.lower} ({_fmt_float(report.lower)})"
+        _emit(
+            f"n={args.n} n1={args.n1} k={args.k} q={q}\n"
+            f"distance = {report.distance} ({_fmt_float(report.distance)})\n"
+            f"upper = {report.upper} ({_fmt_float(report.upper)})\n"
+            f"lower = {lower}\n"
+            f"{'PASS' if report.bounds_ok else 'FAIL'}\n"
+        )
     return 0 if report.bounds_ok else 1
 
 
@@ -201,14 +232,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         reports = exc.reports
         violation = exc.report
 
-    _emit(_render_sweep(reports, args.format, violation), args.out)
+    with _exact_digits():
+        _emit(_render_sweep(reports, args.format, violation), args.out)
 
     if args.fit_slope:
         try:
             slope = bounds.fit_log_slope(reports)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        print(f"fit_log_slope = {_fmt_float(slope)}", file=sys.stderr)
+        _emit(f"fit_log_slope = {_fmt_float(slope)}\n", stream=sys.stderr)
     return 1 if violation is not None else 0
 
 
@@ -227,18 +259,19 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     error = definetti.approx_error(m, args.k)
     cap = bounds.upper_constant(args.k, m.q) * m.q**m.n
     passed = error <= cap
-    record = {
-        "mixing": mu.to_json_dict(),
-        "k": args.k,
-        "approx_error": str(error),
-        "approx_error_float": float(error),
-        "upper_bound": str(cap),
-        "upper_bound_float": float(cap),
-        "pass": passed,
-    }
-    _emit(json.dumps(record, indent=2) + "\n")
-    if args.out:
-        _emit(mu.to_json() + "\n", args.out)
+    with _exact_digits():
+        record = {
+            "mixing": mu.to_json_dict(),
+            "k": args.k,
+            "approx_error": str(error),
+            "approx_error_float": _float(error),
+            "upper_bound": str(cap),
+            "upper_bound_float": _float(cap),
+            "pass": passed,
+        }
+        _emit(json.dumps(record, indent=2) + "\n")
+        if args.out:
+            _emit(mu.to_json() + "\n", args.out)
     return 0 if passed else 1
 
 
@@ -247,7 +280,8 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise _UsageError(f"n must be >= 0, got {args.n}")
     m = measures.random_q_exch(args.n, q, args.seed)
-    _emit(m.to_json() + "\n", args.out)
+    with _exact_digits():
+        _emit(m.to_json() + "\n", args.out)
     return 0
 
 
@@ -276,8 +310,18 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that writes its help, usage and error text through
+    ``_emit``, so an unwritable stream is exit 2, not a failed flush at exit.
+    Subcommand parsers inherit the class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            _emit(message, stream=file or sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qexchange",
         description="Exact q-exchangeable measures: distances, mixtures, and certified q^n rate bounds.",
     )
@@ -328,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(_UsageError):  # a full stderr was discarded
+            _emit(f"error: {exc}\n", stream=sys.stderr)
         return 2

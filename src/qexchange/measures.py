@@ -219,12 +219,16 @@ def random_q_exch(n: int, q: Fraction, seed: int) -> QExchMeasure:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = random.Random(seed)
-    raw = [Fraction(rng.randint(0, 10**6)) for _ in range(n + 1)]
+    raw = [rng.randint(0, 10**6) for _ in range(n + 1)]
     total = sum(raw)
     if total == 0:
-        raw[0] = Fraction(1)
-        total = raw[0]
-    base = tuple(r / total / q_binomial(n, k, q) for k, r in enumerate(raw))
+        raw[0] = total = 1
+    b = q.denominator
+    # r / total / [n, k]_q as one Fraction: a single gcd per level
+    base = tuple(
+        Fraction(r * b ** (k * (n - k)), total * q_binomial_numerator(n, k, q))
+        for k, r in enumerate(raw)
+    )
     return QExchMeasure(n, q, base)
 
 

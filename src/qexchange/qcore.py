@@ -3,8 +3,11 @@
 All arithmetic is exact: scalars are ``fractions.Fraction`` end to end, so
 every identity in the library can be asserted with ``==`` and no tolerance.
 A ``float`` deformation parameter is rejected, not coerced.  Gaussian
-binomials are cached as integer numerators over powers of the denominator of
-``q``; a ``Fraction`` is built only when an entry is read.
+binomials are kept as integer numerators over powers of the denominator of
+``q``, in a store of at most a few half rows per ``q``: a row is extended from
+its predecessor by the Pascal recurrence or built on its own by the ratio
+recurrence, so memory stays bounded however large ``n`` is.  A ``Fraction``
+is built only when an entry is read.
 
 Words are binary sequences packed little-endian into a Python int: bit ``i``
 of ``packed`` holds sequence position ``i + 1``.  This makes the level
@@ -184,13 +187,18 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
     return result
 
 
-# Triangle rows of Gaussian binomials, keyed by the integers ``(a, b)`` of
-# ``q = a/b`` in lowest terms.  Row ``n`` holds the integer numerators
-# ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))``, which obey the division-free
-# recurrence ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``; a reduced
-# Fraction is built only when ``q_binomial`` reads an entry.  Rows are only
-# ever appended, so a row list a caller holds stays valid.
-_QBINOM_ROWS: dict[tuple[int, int], list[list[int]]] = {}
+# Gaussian-binomial rows, keyed by the integers ``(a, b)`` of ``q = a/b`` in
+# lowest terms, then by ``n``.  Row ``n`` holds the integer numerators
+# ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..n//2`` only, since
+# ``N(n, k) = N(n, n-k)``.  A missing row is extended from row ``n - 1`` when
+# that row is held, by ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``: a
+# sweep reads rows ``n`` and ``n - k`` at each step, and both were one step
+# behind at the step before.  Any other row is built on its own by the ratio
+# recurrence ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``,
+# whose division is exact.  Each q holds at most ``_QBINOM_ROW_BUDGET`` rows,
+# the least recently read evicted first, so memory stays bounded at any n.
+_QBINOM_ROWS: dict[tuple[int, int], dict[int, list[int]]] = {}
+_QBINOM_ROW_BUDGET = 8
 
 
 def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
@@ -199,40 +207,43 @@ def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _qbinom_rows(a: int, b: int, n: int) -> list[list[int]]:
+def _qbinom_row(a: int, b: int, n: int) -> list[int]:
     rows = _QBINOM_ROWS.get((a, b))
-    if rows is not None and len(rows) > n:
-        return rows
-    a_pow, b_pow = [1], [1]
-    for _ in range(n):
-        a_pow.append(a_pow[-1] * a)
-        b_pow.append(b_pow[-1] * b)
-    rows = _QBINOM_ROWS.setdefault((a, b), [[1]])
-    while len(rows) <= n:
-        prev = rows[-1]
-        r = len(rows)
+    if rows is None:
+        rows = _QBINOM_ROWS[a, b] = {}
+    row = rows.pop(n, None)
+    if row is None:
+        prev = rows.get(n - 1)
         row = [1]
-        for k in range(1, r):
-            row.append(a_pow[k] * prev[k] + b_pow[r - k] * prev[k - 1])
-        row.append(1)
-        rows.append(row)
-    return rows
+        if prev is None:
+            for k in range(n // 2):
+                row.append(row[k] * (b ** (n - k) - a ** (n - k)) // (b ** (k + 1) - a ** (k + 1)))
+        else:
+            a_k, b_nk = 1, b**n
+            for k in range(1, n // 2 + 1):
+                a_k *= a
+                b_nk //= b
+                row.append(a_k * prev[min(k, n - 1 - k)] + b_nk * prev[k - 1])
+        if len(rows) >= _QBINOM_ROW_BUDGET:
+            del rows[next(iter(rows))]
+    rows[n] = row
+    return row
 
 
 def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
     """Integer ``N`` with ``[n, k]_q = N / b^(k(n-k))`` for ``q = a/b`` in
-    lowest terms: the cache entry itself, with no Fraction built."""
+    lowest terms: the stored entry itself, with no Fraction built."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _qbinom_rows(*_fraction_parts(q), n)[n][k]
+    return _qbinom_row(*_fraction_parts(q), n)[k if 2 * k <= n else n - k]
 
 
 def q_binomial(n: int, k: int, q: Fraction) -> Fraction:
-    """Gaussian binomial via the recurrence ``[n,k] = q^k [n-1,k] + [n-1,k-1]``."""
+    """Gaussian binomial ``[n, k]_q``, read from the row store."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     a, b = _fraction_parts(q)
-    return Fraction(_qbinom_rows(a, b, n)[n][k], b ** (k * (n - k)))
+    return Fraction(_qbinom_row(a, b, n)[k if 2 * k <= n else n - k], b ** (k * (n - k)))
 
 
 def q_pochhammer(x: Fraction, t: Fraction, n: int) -> Fraction:

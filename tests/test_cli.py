@@ -49,6 +49,32 @@ def test_qbinom_boundary(capsys):
     assert out.strip() == "1"
 
 
+def test_exact_output_past_the_digit_limit(tmp_path, capsys):
+    # exact values over the interpreter's 4300-digit int-to-str limit are written
+    # whole; the limit stays in force for readers, where such an entry is malformed
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "qbinom", "200", "100", "--q", "2/3")
+    assert code == 0
+    numerator, denominator = out.strip().split("/")
+    assert len(denominator) > 4300 and len(numerator) > 4300
+    path = tmp_path / "m.json"
+    code, _, _ = run_cli(capsys, "random-measure", "--n", "200", "--q", "2/3", "--out", str(path))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run_cli(capsys, "decompose", str(path), "--k", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error: malformed measure record")
+    code, out, _ = run_cli(capsys, "distance", "--n", "100", "--n1", "0", "--k", "100", "--q", "9/10")
+    assert code == 0 and out.endswith("PASS\n")
+
+
+def test_display_float_past_the_float_range(capsys):
+    # the upper bound c_k q^n exceeds the largest float at k = n = 100, q = 1/2
+    code, out, _ = run_cli(capsys, "sweep", "--q", "1/2", "--k", "100", "--n", "100", "--n1", "half")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[5] == "inf"
+
+
 def test_qbinom_usage_error(capsys):
     code, _, err = run_cli(capsys, "qbinom", "2", "3", "--q", "1/2")
     assert code == 2
@@ -388,36 +414,41 @@ def test_module_entry_point():
     assert result.stdout.strip() == "35/16"
 
 
+UNWRITABLE_CASES = [  # (argv, the stream that is full)
+    (["qbinom", "4", "2", "--q", "1/2"], "stdout"),
+    (["distance", "--n", "2", "--n1", "1", "--k", "1", "--q", "1/2"], "stdout"),
+    (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"], "stdout"),
+    (["decompose", "{measure}", "--k", "2"], "stdout"),
+    (["random-measure", "--n", "64", "--q", "2/3"], "stdout"),
+    (["verify-all", "--max-n", "2", "--q", "1/2"], "stdout"),
+    (["--help"], "stdout"),
+    (["sweep", "--help"], "stdout"),
+    (["sweep", "--q", "2/3", "--k", "3", "--n", "3..20", "--n1", "half", "--fit-slope"], "stderr"),
+    (["qbinom", "4", "2", "--q", "0.5"], "stderr"),
+    (["qbinom", "4"], "stderr"),
+]
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["qbinom", "4", "2", "--q", "1/2"],
-        ["distance", "--n", "2", "--n1", "1", "--k", "1", "--q", "1/2"],
-        ["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
-        ["decompose", "{measure}", "--k", "2"],
-        ["random-measure", "--n", "64", "--q", "2/3"],
-        ["verify-all", "--max-n", "2", "--q", "1/2"],
-    ],
+    "argv,full", UNWRITABLE_CASES, ids=[f"argv{i}" for i in range(len(UNWRITABLE_CASES))]
 )
-def test_unwritable_stdout_is_usage_error(tmp_path, argv):
-    # a full stdout is bad output, not a failed check (1) or a failed exit flush (120)
+def test_unwritable_stdout_is_usage_error(tmp_path, argv, full):
+    # a full stdout or stderr is bad output, not a failed check (1) or a failed exit flush (120)
     measure_path = tmp_path / "m.json"
     measure_path.write_text(random_q_exch(4, HALF, 0).to_json())
     argv = [a.format(measure=measure_path) for a in argv]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    with open("/dev/full", "w") as full:
+    with open("/dev/full", "w") as dev_full:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: dev_full}
         result = subprocess.run(
-            [sys.executable, "-m", "qexchange", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
+            [sys.executable, "-m", "qexchange", *argv], text=True, env=env, **streams
         )
     assert result.returncode == 2
-    assert result.stderr.startswith("error: cannot write stdout")
-    assert "Traceback" not in result.stderr
+    if full == "stdout":
+        assert result.stderr.startswith("error: cannot write stdout")
+        assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +457,7 @@ def test_unwritable_stdout_is_usage_error(tmp_path, argv):
 
 Q_TEXTS = ("1/2", "2/3", "0/1", "1/1", "3/2", "1/0", "0.5", "abc", "")
 small_ints = st.integers(-2, 12).map(str)
+sizes = st.sampled_from([*range(-2, 13), 200]).map(str)  # n = 200: values past 4300 digits
 q_texts = st.sampled_from(Q_TEXTS)
 json_scalars = (
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | q_texts | st.text(max_size=4)
@@ -448,14 +480,14 @@ def cli_argv(draw):
     command = draw(st.sampled_from(
         ["qbinom", "distance", "sweep", "decompose", "random-measure", "verify-all"]
     ))
-    n, k, n1, q = draw(small_ints), draw(small_ints), draw(small_ints), draw(q_texts)
+    n, k, n1, q = draw(sizes), draw(small_ints), draw(small_ints), draw(q_texts)
     if command == "qbinom":
         return [command, n, k, "--q", q], None
     if command == "distance":
         return [command, "--n", n, "--n1", n1, "--k", k, "--q", q], None
     if command == "sweep":
         rule = draw(st.sampled_from(["half", "equal", f"fixed:{n1}", "bogus"]))
-        argv = [command, "--q", q, "--k", k, "--n", f"{n}..{draw(small_ints)}", "--n1", rule]
+        argv = [command, "--q", q, "--k", k, "--n", f"{n}..{draw(sizes)}", "--n1", rule]
         return argv + draw(st.sampled_from([[], ["--fit-slope"], ["--format", "json"]])), None
     if command == "decompose":
         return [command, "measure.json", "--k", k], draw(measure_texts)

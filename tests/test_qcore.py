@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qexchange import (
+    RateSweepConfig,
     Word,
     block_word,
     check_q,
@@ -18,6 +23,7 @@ from qexchange import (
     q_int,
     q_pochhammer,
     swap_adjacent,
+    verify_rate,
 )
 from qexchange import qcore
 from oracles import brute_level_sum, pair_statistics, q_binomial_row
@@ -233,6 +239,53 @@ def test_q_binomial_against_product_formula(cold_cache, q, rows):
             for k, expected in enumerate(q_binomial_row(n, q)):
                 assert q_binomial(n, k, q) == expected
                 assert q_binomial_numerator(n, k, q) == expected * q.denominator ** (k * (n - k))
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
+@pytest.mark.parametrize("n", [50, 300])
+def test_ratio_and_pascal_rows_agree(cold_cache, n, q):
+    a, b = q.numerator, q.denominator
+    cold = qcore._qbinom_row(a, b, n)  # no row n - 1 held: the ratio recurrence
+    qcore._QBINOM_ROWS.clear()
+    qcore._qbinom_row(a, b, n - 1)
+    extended = qcore._qbinom_row(a, b, n)  # from row n - 1: the Pascal recurrence
+    assert cold == extended
+    oracle = q_binomial_row(n, q)
+    assert len(cold) == n // 2 + 1
+    assert cold == [x * b ** (k * (n - k)) for k, x in enumerate(oracle[: n // 2 + 1])]
+
+
+def test_row_store_stays_within_budget(cold_cache):
+    q = Fraction(2, 3)
+    verify_rate(RateSweepConfig(q=q, k=3, n_start=3, n_end=200, n1_rule="half"))
+    rows = qcore._QBINOM_ROWS[q.numerator, q.denominator]
+    assert 200 in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+    q_binomial(400, 2, q)
+    assert 400 in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+
+
+def test_one_cold_read_builds_one_row(cold_cache):
+    q = Fraction(2, 3)
+    assert q_binomial(400, 2, q) == (1 - q**400) * (1 - q**399) / ((1 - q) * (1 - q**2))
+    assert list(qcore._QBINOM_ROWS[q.numerator, q.denominator]) == [400]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
+def test_large_row_memory_is_bounded():
+    # every row up to n = 400 held at once takes about 240 MB
+    code = (
+        "import io, resource, contextlib\n"
+        "from qexchange.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['qbinom', '400', '2', '--q', '2/3']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 32 * 1024
 
 
 def test_q_binomial_numerator_errors():
