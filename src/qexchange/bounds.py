@@ -8,11 +8,14 @@ that order is optimal.  This module pins down both constants explicitly:
 binomial weight times the larger of two per-level bounds extracted from the
 case analysis of the distance terms,
 
-    B1      = (sum_{i<k} q^-i) / (1-q)^k             (level k1 = k, and the
+    B1      = G(k) / (1-q)^k                         (level k1 = k, and the
                                                       nonnegative-sign case)
-    B2(k1)  = (sum_{i<k-k1} q^(k1(k1-k) - i)) / (1-q)^k   for k1 < k,
+    B2(k1)  = q^(k1(k1-k)) G(k - k1) / (1-q)^k        for k1 < k,
 
-so ``D(n, n1, k) <= upper_constant(k, q) * q^n`` uniformly in ``n1``.
+with the geometric prefix sums ``G(m) = sum_{i<m} q^-i``, so
+``D(n, n1, k) <= upper_constant(k, q) * q^n`` uniformly in ``n1``.  The
+prefix sums are formed once, in integers, so the constant costs ``O(k)``
+integer operations and one ``Fraction``.
 
 ``lower_constant(k, q) = (1-q)^(k-1) (q^(1-k) - q)`` bounds the distance from
 below, ``D >= lower_constant * q^n``, whenever ``n1 >= k``; it comes from the
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qcore import check_q, q_binomial, q_pochhammer
+from .qcore import check_q, q_binomial_numerator, q_pochhammer
 from .definetti import DistanceReport, extreme_vs_bernoulli_distance
 
 
@@ -59,16 +62,20 @@ def upper_constant(k: int, q: Fraction) -> Fraction:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return Fraction(0)
-    denom = (1 - q) ** k
-    b1 = sum(q ** -i for i in range(k)) / denom
-    total = Fraction(0)
+    # In integers over powers of a and b, for q = a/b: G(m) = g[m] / a^(m-1),
+    # and level k1 with c = k1 (k - k1) is [k, k1]_q max(B1, B2) =
+    # N(k, k1) max(g[k] a^c, b^c g[k - k1] a^k1) / (b^c a^(c+k-1) (1-q)^k).
+    a, b = q.numerator, q.denominator
+    g = [0]
+    for m in range(k):
+        g.append(g[-1] * a + b**m)
+    top = (k // 2) * (k - k // 2)  # the largest c
+    total = 0
     for k1 in range(k + 1):
-        if k1 == k:
-            b2 = Fraction(0)
-        else:
-            b2 = sum(q ** (k1 * (k1 - k) - i) for i in range(k - k1)) / denom
-        total += q_binomial(k, k1, q) * max(b1, b2)
-    return total
+        c = k1 * (k - k1)
+        level = max(g[k] * a**c, b**c * g[k - k1] * a**k1)
+        total += q_binomial_numerator(k, k1, q) * level * (a * b) ** (top - c)
+    return Fraction(total * b**k, (a * b) ** top * a ** (k - 1) * (b - a) ** k)
 
 
 def lower_constant(k: int, q: Fraction) -> Fraction:

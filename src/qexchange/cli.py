@@ -67,23 +67,24 @@ def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
     raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
 
 
-def _emit(text: str, path: Optional[str] = None, stream=None) -> None:
-    """Write ``text`` to the ``--out`` path, or else to ``stream`` (stdout by
-    default) and flush it; an unwritable destination is an input error
-    (exit 2)."""
-    stream = stream or sys.stdout
+def _emit(text: str, path: Optional[str] = None, stream: str = "stdout") -> None:
+    """Write ``text`` to the ``--out`` path, or else to the standard stream
+    named ``stream`` and flush it; an unwritable or closed destination is an
+    input error (exit 2)."""
+    out = getattr(sys, stream)
     try:
         if path:
             with open(path, "w") as fh:
                 fh.write(text)
+        elif out is None:  # the descriptor was closed when the interpreter started
+            raise _UsageError(f"cannot write {stream}: it is closed")
         else:
-            stream.write(text)
-            stream.flush()
+            out.write(text)
+            out.flush()
     except OSError as exc:
         if not path:
-            _discard(stream)
-        name = path or ("stderr" if stream is sys.stderr else "stdout")
-        raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
+            _discard(out)
+        raise _UsageError(f"cannot write {path or stream}: {exc.strerror or exc}") from exc
 
 
 def _discard(stream) -> None:
@@ -240,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             slope = bounds.fit_log_slope(reports)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        _emit(f"fit_log_slope = {_fmt_float(slope)}\n", stream=sys.stderr)
+        _emit(f"fit_log_slope = {_fmt_float(slope)}\n", stream="stderr")
     return 1 if violation is not None else 0
 
 
@@ -317,7 +318,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         if message:
-            _emit(message, stream=file or sys.stderr)
+            _emit(message, stream="stderr" if file is sys.stderr else "stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,5 +378,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _UsageError as exc:
         with contextlib.suppress(_UsageError):  # a full stderr was discarded
-            _emit(f"error: {exc}\n", stream=sys.stderr)
+            _emit(f"error: {exc}\n", stream="stderr")
         return 2

@@ -14,6 +14,13 @@ The extreme-vs-Bernoulli distance has a closed form over target levels:
 
 which equals the total variation of the two k-dimensional pushforwards.
 ``approx_error`` is the alpha-mix of the same level terms inside the ``|.|``.
+The binomial ratio is a ratio of q-Pochhammer products,
+
+    [n - k, n1 - k1]_q / [n, n1]_q
+        = (q^n1; 1/q)_k1 (q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k,
+
+so every level term is built from ``O(k)`` factors and no size-n Gaussian
+binomial is read.
 """
 
 from __future__ import annotations
@@ -98,36 +105,59 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
     return QExchMeasure(n, mu.q, tuple(base))
 
 
+def _pochhammer_prefixes(m: int, r: int, a: int, b: int) -> list[tuple[int, int]]:
+    """``(b^s (q^m; 1/q)_j, s)`` for ``j = 0..r`` and ``q = a/b``, ``r <= m``:
+    the integer product ``prod_{i<j} (b^(m-i) - a^(m-i))`` and its summed
+    exponent ``s = sum_{i<j} (m - i)``."""
+    out = [(1, 0)]
+    for i in range(r):
+        prod, s = out[-1]
+        out.append((prod * (b ** (m - i) - a ** (m - i)), s + m - i))
+    return out
+
+
 def _level_gaps(n: int, n1: int, k: int, q: Fraction) -> tuple[list[int], int]:
     """Signed level terms ``g[k1] / d`` of the k-projection of ``extreme(n, n1)``
     minus that of the q-Bernoulli measure at ``x = q^n1``, in integers over
-    one denominator ``d = b^T N(n, n1)``, ``T`` the largest ``t`` below.  With
-    ``q = a/b``, ``j = n1 - k1`` and ``N`` the integer numerators of the
-    q-binomial cache, level ``k1 <= n1`` is (the others vanish)
+    one denominator ``d = b^T D``, ``T`` the largest ``t`` below.
 
-        N(k, k1) a^e (N(n-k, j) b^(u+s) - P N(n, n1)) / (b^t N(n, n1))
+    With ``q = a/b`` write each product of the Pochhammer-ratio identity (module
+    docstring) as an integer over a power of ``b`` (:func:`_pochhammer_prefixes`):
+    ``P / b^s`` for ``(q^n1; 1/q)_k1``, ``R / b^sR`` for
+    ``(q^(n-n1); 1/q)_(k-k1)`` and ``Q / b^sQ`` for ``(q^n; 1/q)_k``.  ``R`` is
+    zero below level ``low = max(0, k - (n - n1))``, where the extreme measure
+    puts no mass, and the first ``low`` factors of ``P`` are the last of ``Q``:
+    ``Q = D P_low``.  With ``N(k, k1)`` the numerator of ``[k, k1]_q`` and
+    ``e = (n1 - k1)(k - k1)``, level ``k1 <= n1`` is (the others vanish)
 
-    where ``e = j (k - k1)``, ``P = prod_{i<k1} (b^(n1-i) - a^(n1-i))``,
-    ``s = sum_{i<k1} (n1 - i)``, ``u = n1 (n - n1) - j (n - k - j) >= 0`` and
-    ``t = s + k1 (k - k1) + e``.  ``N(n-k, j)`` is zero when ``j > n - k``.
+        N(k, k1) a^e (P / P_low) (R b^sQ - Q b^sR) / (b^t D)   for k1 >= low,
+        -N(k, k1) a^e P D / (b^t D)                             for k1 < low,
+
+    with ``t = s + k1 (k - k1) + e``, plus ``sR`` from level ``low`` on.
     """
     a, b = q.numerator, q.denominator
-    whole = q_binomial_numerator(n, n1, q)
+    low = max(0, k - (n - n1))
+    denom, s_denom = _pochhammer_prefixes(n, k - low, a, b)[-1]
+    rests = _pochhammer_prefixes(n - n1, k - low, a, b)
     terms = []
-    poch, s = 1, 0
+    poch, s = 1, 0  # P, and P / P_low from level low on
     for k1 in range(min(k, n1) + 1):
-        j = n1 - k1
-        e = j * (k - k1)
-        extreme = 0
-        if j <= n - k:
-            u = n1 * (n - n1) - j * (n - k - j)
-            extreme = q_binomial_numerator(n - k, j, q) * b ** (u + s)
-        diff = extreme - poch * whole
-        terms.append((q_binomial_numerator(k, k1, q) * a**e * diff, s + k1 * (k - k1) + e))
+        if k1 == low:
+            whole, b_whole = denom * poch, b ** (s_denom + s)  # Q and b^sQ
+            poch = 1
+        e = (n1 - k1) * (k - k1)
+        t = s + k1 * (k - k1) + e
+        if k1 < low:
+            x = -poch * denom
+        else:
+            rest, s_rest = rests[k - k1]
+            x = poch * (rest * b_whole - whole * b**s_rest)
+            t += s_rest
+        terms.append((q_binomial_numerator(k, k1, q) * a**e * x, t))
         poch *= b ** (n1 - k1) - a ** (n1 - k1)
         s += n1 - k1
-    top = max(t for _, t in terms)
-    return [x * b ** (top - t) for x, t in terms], whole * b**top
+    t_max = max(t for _, t in terms)
+    return [x * b ** (t_max - t) for x, t in terms], denom * b**t_max
 
 
 def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:

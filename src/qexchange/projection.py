@@ -7,6 +7,11 @@ receives mass from each source level ``j`` with weight
 ``q^((j - k1)(k - k1)) * [n - k, j - k1]_q``.  The two closed forms give that
 pushforward's block values for an extreme measure and for a q-Bernoulli
 measure; the latter's factor ``(q^n1; 1/q)_k1`` is :func:`q_pochhammer`.
+They differ by one ratio of Pochhammer products, since the binomial ratio in
+the extreme block value is itself a ratio of Pochhammer products:
+
+    [n - k, n1 - k1]_q / [n, n1]_q
+        = (q^n1; 1/q)_k1 (q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k.
 
 Total variation is the plain L1 sum ``sum_w |a(w) - b(w)|``, which equals
 twice the supremum of ``|a(A) - b(A)|`` over events; for two compact measures
@@ -45,16 +50,21 @@ def project(m: QExchMeasure, k: int) -> QExchMeasure:
 def project_extreme_closed_form(n: int, n1: int, k: int, k1: int, q: Fraction) -> Fraction:
     """Block value of the projected level-``n1`` extreme measure.
 
-    Returns ``q^((n1 - k1)(k - k1)) * [n - k, n1 - k1]_q / [n, n1]_q`` with
-    out-of-range inner binomials contributing zero, matching the zero mass the
-    brute-force pushforward assigns to those corners.
+    Returns ``q^((n1 - k1)(k - k1)) * [n - k, n1 - k1]_q / [n, n1]_q``, the
+    projected q-Bernoulli block value times ``(q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k``
+    by the Pochhammer-ratio identity of the module docstring.  Out-of-range
+    inner binomials come out zero, matching the zero mass the brute-force
+    pushforward assigns to those corners: ``k1 > n1`` zeroes the Bernoulli
+    factor and ``k - k1 > n - n1`` the first Pochhammer product.
     """
     check_q(q)
     if not (0 <= k1 <= k <= n and 0 <= n1 <= n):
         raise ValueError(f"need 0 <= k1 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}, k1={k1}")
-    if not 0 <= n1 - k1 <= n - k:
-        return Fraction(0)
-    return q ** ((n1 - k1) * (k - k1)) * q_binomial(n - k, n1 - k1, q) / q_binomial(n, n1, q)
+    return (
+        project_bernoulli_closed_form(n1, k, k1, q)
+        * q_pochhammer(q ** (n - n1), 1 / q, k - k1)
+        / q_pochhammer(q**n, 1 / q, k)
+    )
 
 
 def project_bernoulli_closed_form(n1: int, k: int, k1: int, q: Fraction) -> Fraction:

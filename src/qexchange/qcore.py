@@ -4,10 +4,11 @@ All arithmetic is exact: scalars are ``fractions.Fraction`` end to end, so
 every identity in the library can be asserted with ``==`` and no tolerance.
 A ``float`` deformation parameter is rejected, not coerced.  Gaussian
 binomials are kept as integer numerators over powers of the denominator of
-``q``, in a store of at most a few half rows per ``q``: a row is extended from
-its predecessor by the Pascal recurrence or built on its own by the ratio
-recurrence, so memory stays bounded however large ``n`` is.  A ``Fraction``
-is built only when an entry is read.
+``q``, in a store of at most a few half rows over all ``q``: a row is
+extended from its predecessor by the Pascal recurrence or built on its own by
+the ratio recurrence, so memory stays bounded however large ``n`` is and
+however many ``q`` are read.  A ``Fraction`` is built only when an entry is
+read.
 
 Words are binary sequences packed little-endian into a Python int: bit ``i``
 of ``packed`` holds sequence position ``i + 1``.  This makes the level
@@ -187,17 +188,18 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
     return result
 
 
-# Gaussian-binomial rows, keyed by the integers ``(a, b)`` of ``q = a/b`` in
-# lowest terms, then by ``n``.  Row ``n`` holds the integer numerators
-# ``N(n, k)`` of ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..n//2`` only, since
+# Gaussian-binomial half rows, keyed by ``(a, b, n)`` with ``q = a/b`` in
+# lowest terms.  Row ``n`` holds the integer numerators ``N(n, k)`` of
+# ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..n//2`` only, since
 # ``N(n, k) = N(n, n-k)``.  A missing row is extended from row ``n - 1`` when
-# that row is held, by ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``: a
-# sweep reads rows ``n`` and ``n - k`` at each step, and both were one step
-# behind at the step before.  Any other row is built on its own by the ratio
-# recurrence ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``,
-# whose division is exact.  Each q holds at most ``_QBINOM_ROW_BUDGET`` rows,
-# the least recently read evicted first, so memory stays bounded at any n.
-_QBINOM_ROWS: dict[tuple[int, int], dict[int, list[int]]] = {}
+# that row is held, by ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``, so
+# reading rows ``0..n`` in order costs one Pascal step per row.  Any other row
+# is built on its own by the ratio recurrence
+# ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``, whose
+# division is exact.  The store holds at most ``_QBINOM_ROW_BUDGET`` rows over
+# all ``q``, the least recently read evicted first, so memory stays bounded
+# at any n and any number of ``q``.
+_QBINOM_ROWS: dict[tuple[int, int, int], list[int]] = {}
 _QBINOM_ROW_BUDGET = 8
 
 
@@ -208,12 +210,9 @@ def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
 
 
 def _qbinom_row(a: int, b: int, n: int) -> list[int]:
-    rows = _QBINOM_ROWS.get((a, b))
-    if rows is None:
-        rows = _QBINOM_ROWS[a, b] = {}
-    row = rows.pop(n, None)
+    row = _QBINOM_ROWS.pop((a, b, n), None)
     if row is None:
-        prev = rows.get(n - 1)
+        prev = _QBINOM_ROWS.get((a, b, n - 1))
         row = [1]
         if prev is None:
             for k in range(n // 2):
@@ -224,9 +223,9 @@ def _qbinom_row(a: int, b: int, n: int) -> list[int]:
                 a_k *= a
                 b_nk //= b
                 row.append(a_k * prev[min(k, n - 1 - k)] + b_nk * prev[k - 1])
-        if len(rows) >= _QBINOM_ROW_BUDGET:
-            del rows[next(iter(rows))]
-    rows[n] = row
+        if len(_QBINOM_ROWS) >= _QBINOM_ROW_BUDGET:
+            del _QBINOM_ROWS[next(iter(_QBINOM_ROWS))]
+    _QBINOM_ROWS[a, b, n] = row
     return row
 
 

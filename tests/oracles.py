@@ -58,6 +58,20 @@ def q_binomial_row(n: int, q: Fraction) -> list[Fraction]:
     return row
 
 
+def upper_constant_double_sum(k: int, q: Fraction) -> Fraction:
+    """``upper_constant`` by its defining double sum: for every level ``k1``
+    the larger of ``B1 = sum_{i<k} q^-i / (1-q)^k`` and
+    ``B2(k1) = sum_{i<k-k1} q^(k1(k1-k) - i) / (1-q)^k``, weighted by
+    ``[k, k1]_q`` from the product formula."""
+    denom = (1 - q) ** k
+    b1 = sum((q**-i for i in range(k)), Fraction(0)) / denom
+    total = Fraction(0)
+    for k1, weight in enumerate(q_binomial_row(k, q)):
+        b2 = sum((q ** (k1 * (k1 - k) - i) for i in range(k - k1)), Fraction(0)) / denom
+        total += weight * max(b1, b2)
+    return total
+
+
 def materialised_approx_error(m: QExchMeasure, k: int) -> Fraction:
     """The projection error by building the canonical mixture on ``{0,1}^n``.
 

@@ -16,6 +16,7 @@ from qexchange import (
 )
 from qexchange import bounds as bounds_module
 from qexchange import qcore
+from oracles import upper_constant_double_sum
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -34,6 +35,15 @@ def test_upper_constant_frozen_values():
     assert upper_constant(3, HALF) == 378
     with pytest.raises(ValueError):
         upper_constant(-1, HALF)
+
+
+@pytest.mark.parametrize(
+    "q", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(3, 7)]
+)
+def test_upper_constant_matches_double_sum(q):
+    # the prefix sums against the per-level sums they replace
+    for k in range(41):
+        assert upper_constant(k, q) == upper_constant_double_sum(k, q)
 
 
 def test_lower_constant_frozen_values():

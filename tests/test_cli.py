@@ -414,7 +414,7 @@ def test_module_entry_point():
     assert result.stdout.strip() == "35/16"
 
 
-UNWRITABLE_CASES = [  # (argv, the stream that is full)
+UNWRITABLE_CASES = [  # (argv, the stream that is full, or a closed stdout)
     (["qbinom", "4", "2", "--q", "1/2"], "stdout"),
     (["distance", "--n", "2", "--n1", "1", "--k", "1", "--q", "1/2"], "stdout"),
     (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"], "stdout"),
@@ -426,6 +426,7 @@ UNWRITABLE_CASES = [  # (argv, the stream that is full)
     (["sweep", "--q", "2/3", "--k", "3", "--n", "3..20", "--n1", "half", "--fit-slope"], "stderr"),
     (["qbinom", "4", "2", "--q", "0.5"], "stderr"),
     (["qbinom", "4"], "stderr"),
+    (["qbinom", "4", "2", "--q", "1/2"], "closed"),  # stdout closed before the start
 ]
 
 
@@ -440,13 +441,17 @@ def test_unwritable_stdout_is_usage_error(tmp_path, argv, full):
     argv = [a.format(measure=measure_path) for a in argv]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     with open("/dev/full", "w") as dev_full:
-        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: dev_full}
+        if full == "closed":  # the interpreter starts with sys.stdout None
+            streams["preexec_fn"] = lambda: os.close(1)
+        else:
+            streams[full] = dev_full
         result = subprocess.run(
             [sys.executable, "-m", "qexchange", *argv], text=True, env=env, **streams
         )
     assert result.returncode == 2
-    if full == "stdout":
+    if full != "stderr":
         assert result.stderr.startswith("error: cannot write stdout")
         assert "Traceback" not in result.stderr
 

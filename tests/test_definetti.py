@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from qexchange import (
     to_dense,
     tv_distance,
 )
-from oracles import materialised_approx_error
+from qexchange.definetti import _level_gaps
+from oracles import materialised_approx_error, q_binomial_row
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -147,6 +149,25 @@ def test_distance_matches_closed_form_level_sum():
                         for k1 in range(k + 1)
                     )
                     assert extreme_vs_bernoulli_distance(n, n1, k, q) == reference
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
+@pytest.mark.parametrize("n", [64, 200])
+def test_level_gaps_against_binomial_ratio(n, q):
+    # the Pochhammer-ratio kernel against [n - k, n1 - k1]_q / [n, n1]_q from
+    # product-formula rows, corners (n1 < k1 or n1 - k1 > n - k) included
+    whole = q_binomial_row(n, q)
+    for k in (0, 1, 4, 12):
+        inner, small = q_binomial_row(n - k, q), q_binomial_row(k, q)
+        for n1 in sorted({0, 1, k - 1, k, n // 2, n - k, n - k + 1, n - 1, n} & set(range(n + 1))):
+            gaps, d = _level_gaps(n, n1, k, q)
+            got = [Fraction(g, d) for g in gaps] + [Fraction(0)] * (k + 1 - len(gaps))
+            expected = []
+            for k1 in range(k + 1):
+                ratio = inner[n1 - k1] / whole[n1] if 0 <= n1 - k1 <= n - k else 0
+                bernoulli = math.prod(1 - q ** (n1 - i) for i in range(k1))
+                expected.append(small[k1] * q ** ((n1 - k1) * (k - k1)) * (ratio - bernoulli))
+            assert got == expected
 
 
 def test_distance_preconditions():

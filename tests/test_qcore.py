@@ -257,17 +257,34 @@ def test_ratio_and_pascal_rows_agree(cold_cache, n, q):
 
 def test_row_store_stays_within_budget(cold_cache):
     q = Fraction(2, 3)
-    verify_rate(RateSweepConfig(q=q, k=3, n_start=3, n_end=200, n1_rule="half"))
-    rows = qcore._QBINOM_ROWS[q.numerator, q.denominator]
-    assert 200 in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+    for n in range(3, 201):  # rows n and n - 3, each one step behind the last read
+        q_binomial(n, 1, q)
+        q_binomial(n - 3, 0, q)
+    rows = qcore._QBINOM_ROWS
+    assert (2, 3, 200) in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
     q_binomial(400, 2, q)
-    assert 400 in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+    assert (2, 3, 400) in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+
+
+def test_row_budget_is_shared_by_every_q(cold_cache):
+    qs = [Fraction(i, i + 1) for i in range(1, 41)]
+    for q in qs:
+        q_binomial(60, 2, q)
+    budget = qcore._QBINOM_ROW_BUDGET
+    assert list(qcore._QBINOM_ROWS) == [(q.numerator, q.denominator, 60) for q in qs[-budget:]]
+
+
+def test_sweep_holds_only_the_level_row(cold_cache):
+    # the level kernel reads [k, k1]_q and no size-n row
+    q = Fraction(2, 3)
+    verify_rate(RateSweepConfig(q=q, k=3, n_start=3, n_end=200, n1_rule="half"))
+    assert list(qcore._QBINOM_ROWS) == [(2, 3, 3)]
 
 
 def test_one_cold_read_builds_one_row(cold_cache):
     q = Fraction(2, 3)
     assert q_binomial(400, 2, q) == (1 - q**400) * (1 - q**399) / ((1 - q) * (1 - q**2))
-    assert list(qcore._QBINOM_ROWS[q.numerator, q.denominator]) == [400]
+    assert list(qcore._QBINOM_ROWS) == [(2, 3, 400)]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
