@@ -288,8 +288,8 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
     qs = _parse_q_list(args.q)
-    if args.max_n < 0:
-        raise _UsageError(f"max-n must be >= 0, got {args.max_n}")
+    if not 0 <= args.max_n <= measures.MAX_DENSE_N:
+        raise _UsageError(f"max-n must be in 0..{measures.MAX_DENSE_N}, got {args.max_n}")
     if not qs:
         raise _UsageError("need at least one q value")
     results = verify.run_all(args.max_n, qs)

@@ -4,11 +4,10 @@ All arithmetic is exact: scalars are ``fractions.Fraction`` end to end, so
 every identity in the library can be asserted with ``==`` and no tolerance.
 A ``float`` deformation parameter is rejected, not coerced.  Gaussian
 binomials are kept as integer numerators over powers of the denominator of
-``q``, in a store of at most a few half rows over all ``q``: a row is
-extended from its predecessor by the Pascal recurrence or built on its own by
-the ratio recurrence, so memory stays bounded however large ``n`` is and
-however many ``q`` are read.  A ``Fraction`` is built only when an entry is
-read.
+``q``, in a store of at most a few half rows over all ``q``: each row is
+built on its own by the ratio recurrence, so memory stays bounded however
+large ``n`` is and however many ``q`` are read.  A ``Fraction`` is built only
+when an entry is read.
 
 Words are binary sequences packed little-endian into a Python int: bit ``i``
 of ``packed`` holds sequence position ``i + 1``.  This makes the level
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 #: Packed words use a single machine-friendly int; 63 bits keeps shifts cheap
@@ -188,45 +188,28 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
     return result
 
 
-# Gaussian-binomial half rows, keyed by ``(a, b, n)`` with ``q = a/b`` in
-# lowest terms.  Row ``n`` holds the integer numerators ``N(n, k)`` of
-# ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..n//2`` only, since
-# ``N(n, k) = N(n, n-k)``.  A missing row is extended from row ``n - 1`` when
-# that row is held, by ``N(n, k) = a^k N(n-1, k) + b^(n-k) N(n-1, k-1)``, so
-# reading rows ``0..n`` in order costs one Pascal step per row.  Any other row
-# is built on its own by the ratio recurrence
-# ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``, whose
-# division is exact.  The store holds at most ``_QBINOM_ROW_BUDGET`` rows over
-# all ``q``, the least recently read evicted first, so memory stays bounded
-# at any n and any number of ``q``.
-_QBINOM_ROWS: dict[tuple[int, int, int], list[int]] = {}
-_QBINOM_ROW_BUDGET = 8
-
-
 def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
     if not isinstance(q, Fraction):
         raise TypeError(f"{name} must be a Fraction, got {type(q).__name__}")
     return q.numerator, q.denominator
 
 
-def _qbinom_row(a: int, b: int, n: int) -> list[int]:
-    row = _QBINOM_ROWS.pop((a, b, n), None)
-    if row is None:
-        prev = _QBINOM_ROWS.get((a, b, n - 1))
-        row = [1]
-        if prev is None:
-            for k in range(n // 2):
-                row.append(row[k] * (b ** (n - k) - a ** (n - k)) // (b ** (k + 1) - a ** (k + 1)))
-        else:
-            a_k, b_nk = 1, b**n
-            for k in range(1, n // 2 + 1):
-                a_k *= a
-                b_nk //= b
-                row.append(a_k * prev[min(k, n - 1 - k)] + b_nk * prev[k - 1])
-        if len(_QBINOM_ROWS) >= _QBINOM_ROW_BUDGET:
-            del _QBINOM_ROWS[next(iter(_QBINOM_ROWS))]
-    _QBINOM_ROWS[a, b, n] = row
-    return row
+# Gaussian-binomial half rows, keyed by ``(a, b, n)`` with ``q = a/b`` in
+# lowest terms.  Row ``n`` holds the integer numerators ``N(n, k)`` of
+# ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..n//2`` only, since
+# ``N(n, k) = N(n, n-k)``.  A row is built on its own by the ratio recurrence
+# ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``, whose
+# division is exact.  The cache holds at most 8 rows over all ``q``, the least
+# recently read evicted first, so memory stays bounded at any n and any number
+# of ``q``.
+@lru_cache(maxsize=8)
+def _qbinom_row(a: int, b: int, n: int) -> tuple[int, ...]:
+    if not 0 < a < b:
+        raise ValueError(f"q must satisfy 0 < q < 1, got {Fraction(a, b)}")
+    row = [1]
+    for k in range(n // 2):
+        row.append(row[k] * (b ** (n - k) - a ** (n - k)) // (b ** (k + 1) - a ** (k + 1)))
+    return tuple(row)  # every reader shares the cached row, so it is immutable
 
 
 def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
@@ -234,15 +217,12 @@ def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
     lowest terms: the stored entry itself, with no Fraction built."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _qbinom_row(*_fraction_parts(q), n)[k if 2 * k <= n else n - k]
+    return _qbinom_row(*_fraction_parts(q), n)[min(k, n - k)]
 
 
 def q_binomial(n: int, k: int, q: Fraction) -> Fraction:
     """Gaussian binomial ``[n, k]_q``, read from the row store."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    a, b = _fraction_parts(q)
-    return Fraction(_qbinom_row(a, b, n)[k if 2 * k <= n else n - k], b ** (k * (n - k)))
+    return Fraction(q_binomial_numerator(n, k, q), q.denominator ** (k * (n - k)))
 
 
 def q_pochhammer(x: Fraction, t: Fraction, n: int) -> Fraction:

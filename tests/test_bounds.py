@@ -196,7 +196,7 @@ def test_verify_rate_raises_on_violation(monkeypatch):
 
 def test_verify_rate_cold_and_warm_cache_agree(monkeypatch):
     cfg = RateSweepConfig(q=HALF, k=1, n_start=1, n_end=80)
-    monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
+    qcore._qbinom_row.cache_clear()
     cold = verify_rate(cfg)
     assert verify_rate(cfg) == cold
     # sweeps run serially; the old worker-count variable is ignored, even malformed

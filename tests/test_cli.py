@@ -401,6 +401,10 @@ def test_verify_all_detects_corrupted_measure(monkeypatch, capsys):
 def test_verify_all_bad_q(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--max-n", "2", "--q", "3/2")
     assert code == 2
+    # a size past the dense-table limit is bad input, not a failed check
+    code, _, err = run_cli(capsys, "verify-all", "--max-n", str(measures.MAX_DENSE_N + 1), "--q", "1/2")
+    assert code == 2
+    assert err.startswith("error: max-n must be in 0..")
 
 
 def test_module_entry_point():

@@ -195,13 +195,19 @@ def test_q_binomial_symmetry_and_factorial_ratio():
                 assert qb == q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
 
 
-def test_q_binomial_errors():
+def test_q_binomial_errors(cold_cache):
     # off range is an error here; the closed forms' zero corners are asserted in
     # test_projection.py::test_closed_form_out_of_range_corners_are_zero
     with pytest.raises(ValueError):
         q_binomial(2, 3, HALF)
     with pytest.raises(ValueError):
         q_binomial(2, -1, HALF)
+    # q outside (0, 1) is an error whatever rows were read before
+    for q in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
+        for n in (4, 0, 1, 2, 3, 4):  # cold, then after rows 0..3 in order
+            for read in (q_binomial, q_binomial_numerator):
+                with pytest.raises(ValueError, match="0 < q < 1"):
+                    read(n, n // 2, q)
 
 
 def test_q_binomial_float_mode():
@@ -222,16 +228,27 @@ def test_q_binomial_float_mode():
 
 
 @pytest.fixture
-def cold_cache(monkeypatch):
-    """An empty q-binomial cache for one test; the shared one returns after it."""
-    monkeypatch.setattr(qcore, "_QBINOM_ROWS", {})
+def cold_cache():
+    """An empty q-binomial cache at the start and the end of one test."""
+    qcore._qbinom_row.cache_clear()
+    yield qcore._qbinom_row
+    qcore._qbinom_row.cache_clear()
+
+
+def _is_held(row_cache, a, b, n):
+    """Whether row ``n`` of ``q = a/b`` was cached; the read itself caches it."""
+    hits = row_cache.cache_info().hits
+    row_cache(a, b, n)
+    return row_cache.cache_info().hits > hits
 
 
 @pytest.mark.parametrize(
-    "q,rows", [(q, range(61)) for q in ORACLE_QS] + [(Fraction(2, 3), [300])]
+    "q,rows",
+    [(q, range(61)) for q in ORACLE_QS]
+    + [(Fraction(2, 3), [300]), (Fraction(9, 10), [50, 300]), (HALF, [300])],
 )
 def test_q_binomial_against_product_formula(cold_cache, q, rows):
-    # shuffled rows, so the cold cache grows by one row at a time and by many
+    # shuffled rows, read twice: no value may depend on which rows were read before
     rows = list(rows)
     random.Random(0).shuffle(rows)
     for _cache in ("cold", "warm"):
@@ -241,50 +258,41 @@ def test_q_binomial_against_product_formula(cold_cache, q, rows):
                 assert q_binomial_numerator(n, k, q) == expected * q.denominator ** (k * (n - k))
 
 
-@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
-@pytest.mark.parametrize("n", [50, 300])
-def test_ratio_and_pascal_rows_agree(cold_cache, n, q):
-    a, b = q.numerator, q.denominator
-    cold = qcore._qbinom_row(a, b, n)  # no row n - 1 held: the ratio recurrence
-    qcore._QBINOM_ROWS.clear()
-    qcore._qbinom_row(a, b, n - 1)
-    extended = qcore._qbinom_row(a, b, n)  # from row n - 1: the Pascal recurrence
-    assert cold == extended
-    oracle = q_binomial_row(n, q)
-    assert len(cold) == n // 2 + 1
-    assert cold == [x * b ** (k * (n - k)) for k, x in enumerate(oracle[: n // 2 + 1])]
-
-
 def test_row_store_stays_within_budget(cold_cache):
     q = Fraction(2, 3)
+    maxsize = cold_cache.cache_parameters()["maxsize"]
     for n in range(3, 201):  # rows n and n - 3, each one step behind the last read
         q_binomial(n, 1, q)
         q_binomial(n - 3, 0, q)
-    rows = qcore._QBINOM_ROWS
-    assert (2, 3, 200) in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+    assert cold_cache.cache_info().currsize <= maxsize and _is_held(cold_cache, 2, 3, 200)
     q_binomial(400, 2, q)
-    assert (2, 3, 400) in rows and len(rows) <= qcore._QBINOM_ROW_BUDGET
+    assert cold_cache.cache_info().currsize <= maxsize and _is_held(cold_cache, 2, 3, 400)
 
 
 def test_row_budget_is_shared_by_every_q(cold_cache):
     qs = [Fraction(i, i + 1) for i in range(1, 41)]
     for q in qs:
         q_binomial(60, 2, q)
-    budget = qcore._QBINOM_ROW_BUDGET
-    assert list(qcore._QBINOM_ROWS) == [(q.numerator, q.denominator, 60) for q in qs[-budget:]]
+    maxsize = cold_cache.cache_parameters()["maxsize"]
+    assert maxsize == 8 and cold_cache.cache_info().currsize == maxsize
+    # the last maxsize rows read are held, in order, and the one before is gone
+    assert all(_is_held(cold_cache, q.numerator, q.denominator, 60) for q in qs[-maxsize:])
+    assert not _is_held(cold_cache, qs[-maxsize - 1].numerator, qs[-maxsize - 1].denominator, 60)
 
 
 def test_sweep_holds_only_the_level_row(cold_cache):
     # the level kernel reads [k, k1]_q and no size-n row
     q = Fraction(2, 3)
     verify_rate(RateSweepConfig(q=q, k=3, n_start=3, n_end=200, n1_rule="half"))
-    assert list(qcore._QBINOM_ROWS) == [(2, 3, 3)]
+    assert cold_cache.cache_info().currsize == 1 and _is_held(cold_cache, 2, 3, 3)
 
 
 def test_one_cold_read_builds_one_row(cold_cache):
     q = Fraction(2, 3)
     assert q_binomial(400, 2, q) == (1 - q**400) * (1 - q**399) / ((1 - q) * (1 - q**2))
-    assert list(qcore._QBINOM_ROWS) == [(2, 3, 400)]
+    assert cold_cache.cache_info().currsize == 1
+    assert len(cold_cache(2, 3, 400)) == 400 // 2 + 1
+    assert cold_cache.cache_info().hits == 1
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
