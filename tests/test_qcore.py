@@ -258,6 +258,25 @@ def test_q_binomial_against_product_formula(cold_cache, q, rows):
                 assert q_binomial_numerator(n, k, q) == expected * q.denominator ** (k * (n - k))
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
+@pytest.mark.parametrize("n", [50, 300])
+def test_ratio_and_pascal_rows_agree(cold_cache, n, q):
+    # the ratio recurrence of the row store against the q-Pascal recurrence
+    # N(n, k) = b^(n-k) N(n-1, k-1) + a^k N(n-1, k) on the integer numerators
+    # of row n - 1, and both against the product formula
+    a, b = q.numerator, q.denominator
+    ratio = list(cold_cache(a, b, n))
+    previous = cold_cache(a, b, n - 1)
+    full_previous = list(previous) + list(reversed(previous[: n - len(previous)]))  # symmetry
+    pascal = [1] + [
+        b ** (n - k) * full_previous[k - 1] + a**k * full_previous[k] for k in range(1, n // 2 + 1)
+    ]
+    assert ratio == pascal
+    oracle = q_binomial_row(n, q)
+    assert len(ratio) == n // 2 + 1
+    assert ratio == [x * b ** (k * (n - k)) for k, x in enumerate(oracle[: n // 2 + 1])]
+
+
 def test_row_store_stays_within_budget(cold_cache):
     q = Fraction(2, 3)
     maxsize = cold_cache.cache_parameters()["maxsize"]
