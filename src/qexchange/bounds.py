@@ -30,11 +30,10 @@ slope fit, which rounds each distance to float once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .qcore import check_q, q_binomial_numerator, q_pochhammer
+from .qcore import _Record, check_q, q_binomial_numerator, q_pochhammer
 from .definetti import DistanceReport, extreme_vs_bernoulli_distance
 
 
@@ -102,8 +101,7 @@ def tech_lemma_lhs_rhs(n: int, k: int, q: Fraction) -> tuple[Fraction, Fraction]
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class RateSweepConfig:
+class RateSweepConfig(_Record):
     """Grid description for a rate sweep.
 
     ``n1_rule`` selects the source level for each n: ``"equal"`` uses n
@@ -116,7 +114,7 @@ class RateSweepConfig:
     n_start: int
     n_end: int
     n1_rule: str = "equal"
-    n1_fixed: Optional[int] = None
+    n1_fixed: int | None = None
 
     def __post_init__(self) -> None:
         check_q(self.q)

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from . import bounds, definetti, measures, verify
+from . import bounds, definetti, measures
 from .qcore import check_q, q_binomial
 
 CSV_HEADER = "n,k,n1,q,distance,upper,lower,dist_over_qn"
@@ -56,7 +55,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return start, end
 
 
-def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
+def _parse_n1_rule(text: str) -> tuple[str, int | None]:
     if text in ("half", "equal"):
         return text, None
     if text.startswith("fixed:"):
@@ -67,7 +66,7 @@ def _parse_n1_rule(text: str) -> tuple[str, Optional[int]]:
     raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
 
 
-def _emit(text: str, path: Optional[str] = None, stream: str = "stdout") -> None:
+def _emit(text: str, path: str | None = None, stream: str = "stdout") -> None:
     """Write ``text`` to the ``--out`` path, or else to the standard stream
     named ``stream`` and flush it; an unwritable or closed destination is an
     input error (exit 2)."""
@@ -195,8 +194,9 @@ def _report_record(r: definetti.DistanceReport) -> dict:
     }
 
 
-def _render_sweep(reports, fmt: str, violation: Optional[definetti.DistanceReport]) -> str:
+def _render_sweep(reports, fmt: str, violation: definetti.DistanceReport | None) -> str:
     if fmt == "json":
+        import json
         return json.dumps([_report_record(r) for r in reports], indent=2) + "\n"
     lines = [CSV_HEADER]
     lines += [_report_row(r) for r in reports]
@@ -246,6 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    import json
     try:
         with open(args.measure) as fh:
             m = measures.QExchMeasure.from_json(fh.read())
@@ -287,9 +288,11 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import verify  # the suites are not loaded on the sweep's start-up path
     qs = _parse_q_list(args.q)
-    if not 0 <= args.max_n <= measures.MAX_DENSE_N:
-        raise _UsageError(f"max-n must be in 0..{measures.MAX_DENSE_N}, got {args.max_n}")
+    # the suites tabulate 2^n words, about doubling per n: 12 takes a minute
+    if not 0 <= args.max_n <= 12:
+        raise _UsageError(f"max-n must be in 0..12, got {args.max_n}")
     if not qs:
         raise _UsageError("need at least one q value")
     results = verify.run_all(args.max_n, qs)
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -25,15 +25,12 @@ binomial is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .qcore import check_q, q_binomial_numerator
+from .qcore import _Record, check_q, q_binomial_numerator
 from .measures import QExchMeasure, _check_total_mass, _LevelRecord, q_bernoulli
 
 
-@dataclass(frozen=True)
 class MixingMeasure(_LevelRecord):
     """Weights ``alpha[i]`` on the grid points ``q^i``, ``i = 0..n``."""
 
@@ -48,8 +45,7 @@ class MixingMeasure(_LevelRecord):
         _check_total_mass(sum(self._check_levels()), "mixing measure")
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(_Record):
     """One grid point of a rate sweep: the distance and its two bounds.
 
     ``upper`` is ``upper_constant(k, q) * q^n``; ``lower`` is
@@ -64,7 +60,7 @@ class DistanceReport:
     q: Fraction
     distance: Fraction
     upper: Fraction
-    lower: Optional[Fraction] = None
+    lower: Fraction | None = None
 
     @property
     def bounds_ok(self) -> bool:

@@ -22,14 +22,11 @@ is rejected with ``ValueError``.  The CLI reads ``--q`` with the same grammar.
 
 from __future__ import annotations
 
-import json
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .qcore import Word, check_q, coinversions, q_binomial, q_binomial_numerator
+from .qcore import Word, _Record, check_q, coinversions, q_binomial, q_binomial_numerator
 
 #: Dense tabulation is 2^n entries; past this the compact form is mandatory.
 MAX_DENSE_N = 24
@@ -65,14 +62,12 @@ def _check_total_mass(total: Fraction, what: str) -> None:
         raise ValueError(f"{what} total mass must be exactly 1, got {total}")
 
 
-class _LevelRecord:
+class _LevelRecord(_Record):
     """The shape shared by a compact measure and its mixing measure: ``n``,
     ``q`` and one nonnegative Fraction per level ``0..n``, stored in the field
-    named by ``_key``.  Subclasses are frozen dataclasses; ``_what`` names the
-    record in JSON errors."""
-
-    _key: str
-    _what: str
+    named by the string ``_key``.  Subclasses are immutable records with the
+    fields ``n``, ``q`` and ``_key``; the string ``_what`` names the record in
+    JSON errors."""
 
     def _check_levels(self) -> tuple[Fraction, ...]:
         """Validate ``q``, ``n`` and the level vector; store and return the
@@ -94,10 +89,12 @@ class _LevelRecord:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str):
+        import json
         try:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -116,7 +113,6 @@ class _LevelRecord:
         return cls(n, q, levels)
 
 
-@dataclass(frozen=True)
 class QExchMeasure(_LevelRecord):
     """Compact q-exchangeable measure: ``base[k]`` is the block-word value.
 
@@ -142,8 +138,7 @@ class QExchMeasure(_LevelRecord):
         return _times_binomial(self.base[k], self.n, k, self.q)
 
 
-@dataclass(frozen=True)
-class DenseMeasure:
+class DenseMeasure(_Record):
     """Explicit probability table over all ``2^n`` words, indexed by packed value."""
 
     n: int
@@ -251,7 +246,7 @@ def to_dense(m: QExchMeasure) -> DenseMeasure:
     return DenseMeasure(m.n, weights)
 
 
-def is_q_exchangeable(d: DenseMeasure, q: Fraction) -> tuple[bool, Optional[tuple[Word, int]]]:
+def is_q_exchangeable(d: DenseMeasure, q: Fraction) -> tuple[bool, tuple[Word, int] | None]:
     """Check the adjacent-swap rule on every word and position.
 
     For each word ``w`` and 1-based position ``i``, requires

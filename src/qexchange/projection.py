@@ -22,12 +22,11 @@ with the same q the sum collapses to the level masses,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .qcore import check_q, q_binomial, q_pochhammer
 from .measures import DenseMeasure, QExchMeasure, to_dense
 
-Measure = Union[QExchMeasure, DenseMeasure]
+Measure = QExchMeasure | DenseMeasure
 
 
 def project(m: QExchMeasure, k: int) -> QExchMeasure:

@@ -25,10 +25,9 @@ probability of its level, and each ascent pair costs one factor of ``q``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 #: Packed words use a single machine-friendly int; 63 bits keeps shifts cheap
 #: and leaves room for a sign bit in foreign consumers.
@@ -48,12 +47,57 @@ def check_q(q: Fraction) -> Fraction:
     return q
 
 
+class _Record:
+    """An immutable record whose fields are the annotated names of its classes,
+    given by position or keyword; a field's class value is its default.
+    ``__post_init__`` then validates.  Records compare and hash by class and
+    fields and repr as ``Name(field=value, ...)``: a frozen dataclass without
+    importing ``dataclasses`` at start-up."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = (*getattr(cls, "_fields", ()), *cls.__annotations__)  # inherited, then own
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+        values.update(kwargs)
+        for name in fields:
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            self.__dict__[name] = values[name] if name in values else getattr(cls, name)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: the record is immutable")
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A binary sequence of ``length`` bits packed into an int.
 
     Bit ``i`` of ``packed`` stores sequence position ``i + 1``, so the word

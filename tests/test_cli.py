@@ -401,10 +401,41 @@ def test_verify_all_detects_corrupted_measure(monkeypatch, capsys):
 def test_verify_all_bad_q(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--max-n", "2", "--q", "3/2")
     assert code == 2
-    # a size past the dense-table limit is bad input, not a failed check
-    code, _, err = run_cli(capsys, "verify-all", "--max-n", str(measures.MAX_DENSE_N + 1), "--q", "1/2")
-    assert code == 2
-    assert err.startswith("error: max-n must be in 0..")
+    # a size whose suites would run for minutes (13) or days (past the
+    # dense-table limit) is bad input, not a failed check
+    for max_n in ("13", str(measures.MAX_DENSE_N + 1)):
+        code, _, err = run_cli(capsys, "verify-all", "--max-n", max_n, "--q", "1/2")
+        assert code == 2
+        assert err.startswith("error: max-n must be in 0..")
+
+
+def test_suite_result_counts_and_keeps_the_first_failure():
+    from qexchange.verify import SuiteResult
+
+    result = SuiteResult("suite")
+    assert result.require(True, lambda: pytest.fail("described a passing check"))
+    assert result.ok
+    assert not result.require(False, lambda: "first")
+    assert not result.require(False, lambda: "second")
+    assert (result.name, result.checks, result.failures, result.ok) == ("suite", 3, ["first"], False)
+
+
+def test_cli_start_up_skips_modules_a_sweep_never_uses():
+    # -S keeps site-packages out, and with it what their .pth files import
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = "import sys, qexchange.cli; print(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "qexchange.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "typing", "qexchange.verify"}
+    # the suites, imported only by verify-all, still load in a fresh interpreter
+    result = subprocess.run(
+        [sys.executable, "-m", "qexchange", "verify-all", "--max-n", "2", "--q", "1/2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "ALL OK" in result.stdout
 
 
 def test_module_entry_point():

@@ -10,6 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qexchange import (
+    DenseMeasure,
+    DistanceReport,
+    MixingMeasure,
+    QExchMeasure,
     RateSweepConfig,
     Word,
     block_word,
@@ -351,3 +355,100 @@ def test_q_pochhammer():
 def test_q_pochhammer_recurrence(n):
     x, t = Fraction(1, 3), Fraction(2, 5)
     assert q_pochhammer(x, t, n + 1) == q_pochhammer(x, t, n) * (1 - x * t**n)
+
+
+# ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+F = Fraction
+# One instance of each record: its fields by keyword, and its repr as the
+# frozen dataclasses these records replaced printed it.
+RECORDS = [
+    (Word, {"packed": 5, "length": 4}, "Word(packed=5, length=4)"),
+    (
+        QExchMeasure,
+        {"n": 1, "q": HALF, "base": (F(1, 3), F(2, 3))},
+        "QExchMeasure(n=1, q=Fraction(1, 2), base=(Fraction(1, 3), Fraction(2, 3)))",
+    ),
+    (
+        DenseMeasure,
+        {"n": 1, "weights": (F(1, 4), F(3, 4))},
+        "DenseMeasure(n=1, weights=(Fraction(1, 4), Fraction(3, 4)))",
+    ),
+    (
+        MixingMeasure,
+        {"n": 1, "q": HALF, "alpha": (F(1, 4), F(3, 4))},
+        "MixingMeasure(n=1, q=Fraction(1, 2), alpha=(Fraction(1, 4), Fraction(3, 4)))",
+    ),
+    (
+        DistanceReport,
+        {"n": 2, "k": 1, "n1": 1, "q": HALF, "distance": F(1, 3), "upper": F(1), "lower": None},
+        "DistanceReport(n=2, k=1, n1=1, q=Fraction(1, 2), distance=Fraction(1, 3), "
+        "upper=Fraction(1, 1), lower=None)",
+    ),
+    (
+        RateSweepConfig,
+        {"q": HALF, "k": 2, "n_start": 3, "n_end": 5, "n1_rule": "equal", "n1_fixed": None},
+        "RateSweepConfig(q=Fraction(1, 2), k=2, n_start=3, n_end=5, n1_rule='equal', "
+        "n1_fixed=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, fields, text):
+    args = tuple(fields.values())
+    record = cls(*args)
+    assert record == cls(**fields)
+    assert hash(record) == hash(cls(**fields))
+    assert repr(record) == text
+    first, value = next(iter(fields.items()))
+    for bad in (
+        lambda: cls(*args, 0),  # too many positional arguments
+        lambda: cls(**fields, bogus=0),  # unknown keyword
+        lambda: cls(*args, **{first: value}),  # one field twice
+        lambda: cls(value),  # missing fields
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(AttributeError):
+        setattr(record, first, value)
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert getattr(record, first) == value
+
+
+def test_record_defaults():
+    report = DistanceReport(n=2, k=1, n1=1, q=HALF, distance=F(1, 3), upper=F(1))
+    assert report.lower is None
+    assert report == DistanceReport(2, 1, 1, HALF, F(1, 3), F(1), None)
+    cfg = RateSweepConfig(HALF, 2, 3, 5)
+    assert (cfg.n1_rule, cfg.n1_fixed) == ("equal", None)
+    assert cfg == RateSweepConfig(q=HALF, k=2, n_start=3, n_end=5, n1_rule="equal", n1_fixed=None)
+    assert RateSweepConfig(HALF, 2, 3, 5, "fixed", 1).n1_fixed == 1
+
+
+def test_record_validates_keyword_construction():
+    for bad in (
+        lambda: Word(packed=4, length=2),
+        lambda: QExchMeasure(n=1, q=HALF, base=(1, 1)),
+        lambda: DenseMeasure(n=1, weights=(F(1, 2),)),
+        lambda: MixingMeasure(n=1, q=HALF, alpha=(1, 1)),
+        lambda: RateSweepConfig(q=HALF, k=2, n_start=3, n_end=5, n1_rule="fixed"),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    with pytest.raises(TypeError):
+        QExchMeasure(n=0, q=0.5, base=(1,))
+    # validation still normalises an int entry to a Fraction
+    assert QExchMeasure(n=0, q=HALF, base=(1,)).base == (F(1),)
+
+
+def test_records_of_different_classes_differ():
+    levels = (F(1, 4), F(3, 4))
+    measure, mixing = QExchMeasure(1, HALF, levels), MixingMeasure(1, HALF, levels)
+    assert measure != mixing and mixing != measure
+    assert len({measure, mixing}) == 2
