@@ -22,7 +22,6 @@ is rejected with ``ValueError``.  The CLI reads ``--q`` with the same grammar.
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 
@@ -153,11 +152,6 @@ class DenseMeasure(_Record):
         object.__setattr__(self, "weights", weights)
         _check_total_mass(sum(weights), "dense measure")
 
-    def weight(self, w: Word) -> Fraction:
-        if w.length != self.n:
-            raise ValueError(f"word length {w.length} does not match dimension {self.n}")
-        return self.weights[w.packed]
-
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -213,6 +207,7 @@ def random_q_exch(n: int, q: Fraction, seed: int) -> QExchMeasure:
     check_q(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    import random  # here, not at the top: a sweep never draws a measure
     rng = random.Random(seed)
     raw = [rng.randint(0, 10**6) for _ in range(n + 1)]
     total = sum(raw)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,9 +18,12 @@ from qexchange import (
     QExchMeasure,
     bounds,
     decompose,
+    definetti,
     extreme_measure,
     extreme_vs_bernoulli_distance,
     measures,
+    projection,
+    qcore,
     random_q_exch,
 )
 from qexchange.cli import CSV_HEADER, main
@@ -398,6 +402,61 @@ def test_verify_all_detects_corrupted_measure(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def _tech_lemma_rhs_times_ten_at_n4(real):
+    def corrupted(n, k, q):
+        lhs, rhs = real(n, k, q)
+        return lhs, rhs * 10 if n == 4 else rhs
+    return corrupted
+
+
+SUITE_FAILURES = [  # (module, function, corrupted(real), FAIL line, first counterexample)
+    (qcore, "q_binomial", lambda real: lambda n, k, q: real(n, k, q) + ((n, k) == (3, 1)),
+     "qbinom-identity         33 checks  FAIL",
+     "statistic sum mismatch at n=3, k=1, q=1/2: 7/4, 7/4 vs 11/4"),
+    (qcore, "coinversions", lambda real: lambda w: real(w) + (str(w) == "010"),
+     "qbinom-identity         31 checks  FAIL",
+     "inv+coinv != ones*zeros at word 010"),
+    (measures, "to_dense",
+     lambda real: lambda m: measures.DenseMeasure(2, real(m).weights[::-1]) if m.n == 2 else real(m),
+     "exchangeability         28 checks  FAIL",
+     "swap rule broken at n=2, k=2, q=1/2, witness=(Word(packed=1, length=2), 1)"),
+    (projection, "project_extreme_closed_form",
+     lambda real: lambda n, n1, k, k1, q: real(n, n1, k, k1, q) * (2 if (n, n1) == (3, 1) else 1),
+     "projection-oracle       72 checks  FAIL",
+     "projection mismatch at n=3, n1=1, k=3, k1=1, q=1/2: closed=8/7, dense=4/7, compact=4/7"),
+    (definetti, "approx_error", lambda real: lambda m, k: real(m, k) + 100 * (m.n == 3 and k == 2),
+     "upper-bound             51 checks  FAIL",
+     "mixture error above bound at n=3, k=2, q=1/2, seed=0: 1059519317/10561803 > 21/4"),
+    (bounds, "lower_constant", lambda real: lambda k, q: real(k, q) * (100 if k == 2 else 1),
+     "sharpness-lower          6 checks  FAIL",
+     "lower bound violated at n=2, n1=2, k=2, q=1/2: 5/4 < 75/4"),
+    (bounds, "tech_lemma_lhs_rhs", _tech_lemma_rhs_times_ten_at_n4,
+     "sharpness-lower         21 checks  FAIL",
+     "technical inequality failed at n=4, k=1, q=1/2: 1/15 < 5/8"),
+    (definetti, "decompose", lambda real: lambda m: MixingMeasure(m.n, m.q, real(m).alpha[::-1]),
+     "decomposition            8 checks  FAIL",
+     "reconstruction mismatch at n=1, q=1/2, seed=0"),
+    (definetti, "mixture",
+     lambda real: lambda mu, n: extreme_measure(n, 0, mu.q) if n == 2 else real(mu, n),
+     "decomposition           25 checks  FAIL",
+     "delta mixture mismatch at n=2, n1=1, q=1/2"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,corrupted,fail_line,example", SUITE_FAILURES, ids=[case[1] for case in SUITE_FAILURES]
+)
+def test_verify_all_names_each_suites_first_counterexample(
+    monkeypatch, capsys, module, name, corrupted, fail_line, example
+):
+    # one corrupted library function per case; its suite stops at the first
+    # failing check, whose count and description are printed
+    monkeypatch.setattr(module, name, corrupted(getattr(module, name)))
+    code, out, _ = run_cli(capsys, "verify-all", "--max-n", "4", "--q", "1/2,2/3")
+    assert code == 1
+    assert f"{fail_line}\n  first counterexample: {example}\n" in out
+
+
 def test_verify_all_bad_q(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--max-n", "2", "--q", "3/2")
     assert code == 2
@@ -420,6 +479,27 @@ def test_suite_result_counts_and_keeps_the_first_failure():
     assert (result.name, result.checks, result.failures, result.ok) == ("suite", 3, ["first"], False)
 
 
+def test_exact_outputs_keep_their_digests(tmp_path, capsys):
+    # the reference outputs of the library, byte for byte
+    measure = str(tmp_path / "m.json")
+    assert run_cli(capsys, "random-measure", "--n", "64", "--q", "2/3", "--seed", "0", "--out", measure)[0] == 0
+    cases = [
+        (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
+         "d07e0e5534e774ead2b09cbb1126464cd05dde62e219a3626baa0c58101bf624"),
+        (["decompose", measure, "--k", "4"],
+         "56ca2a15e2c5d2cfb036cad5d0e8c063895b9b0cb014b66dd2f4e1f17d186bc1"),
+        (["verify-all", "--max-n", "8"],
+         "685e0d9ced77f321f58ba1744a170ec5283f17a2de8bb9a75bb6463101e71e08"),
+        (["qbinom", "1000", "2", "--q", "2/3"],
+         "e316657c7188f94e4b27a513e90b59702f9615796138f86d8203d83ee47420f5"),
+        (["distance", "--n", "400", "--n1", "0", "--k", "400", "--q", "2/3"],
+         "550c291a433f99390c0d99081f19755eedc2c83154f0283b96999a495d4228a9"),
+    ]
+    for argv, digest in cases:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+
+
 def test_cli_start_up_skips_modules_a_sweep_never_uses():
     # -S keeps site-packages out, and with it what their .pth files import
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -428,7 +508,7 @@ def test_cli_start_up_skips_modules_a_sweep_never_uses():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "qexchange.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json", "typing", "qexchange.verify"}
+    assert not loaded & {"dataclasses", "inspect", "json", "typing", "qexchange.verify", "random"}
     # the suites, imported only by verify-all, still load in a fresh interpreter
     result = subprocess.run(
         [sys.executable, "-m", "qexchange", "verify-all", "--max-n", "2", "--q", "1/2"],
