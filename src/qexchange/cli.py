@@ -25,6 +25,7 @@ from . import bounds, definetti, measures
 from .qcore import check_q, q_binomial
 
 CSV_HEADER = "n,k,n1,q,distance,upper,lower,dist_over_qn"
+_COLUMNS = CSV_HEADER.split(",")  # the DistanceReport fields of a sweep row
 
 _RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
@@ -166,32 +167,15 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _report_row(r: definetti.DistanceReport) -> str:
-    lower = "" if r.lower is None else _fmt_float(r.lower)
-    return ",".join(
-        [
-            str(r.n),
-            str(r.k),
-            str(r.n1),
-            str(r.q),
-            _fmt_float(r.distance),
-            _fmt_float(r.upper),
-            lower,
-            _fmt_float(r.dist_over_qn),
-        ]
-    )
+    values = [getattr(r, column) for column in _COLUMNS]
+    exact = [str(v) for v in values[:4]]  # n, k, n1 and q; the rest are display floats
+    return ",".join(exact + ["" if v is None else _fmt_float(v) for v in values[4:]])
 
 
 def _report_record(r: definetti.DistanceReport) -> dict:
-    return {
-        "n": r.n,
-        "k": r.k,
-        "n1": r.n1,
-        "q": str(r.q),
-        "distance": str(r.distance),
-        "upper": str(r.upper),
-        "lower": None if r.lower is None else str(r.lower),
-        "dist_over_qn": str(r.dist_over_qn),
-    }
+    record = {column: getattr(r, column) for column in _COLUMNS}
+    # ints stay ints and a missing lower is null; each Fraction is an exact string
+    return {c: v if v is None or type(v) is int else str(v) for c, v in record.items()}
 
 
 def _render_sweep(reports, fmt: str, violation: definetti.DistanceReport | None) -> str:

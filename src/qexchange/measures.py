@@ -300,7 +300,9 @@ class MeasureSampler:
                     row.append(float(m.q ** (j - a) * levels[j + 1][a + 1] / mass))
             self._p_one.append(row)
 
-    def draw(self, rng: random.Random) -> Word:
+    def draw(self, rng) -> Word:
+        """One word drawn with ``rng``, a ``random.Random`` (left unannotated:
+        the module imports ``random`` only inside ``random_q_exch``)."""
         packed = 0
         ones = 0
         for j in range(self.n):

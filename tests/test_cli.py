@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexchange import (
+    MeasureSampler,
     MixingMeasure,
     QExchMeasure,
     bounds,
@@ -170,7 +171,7 @@ def test_sweep_empty_range(capsys):
     assert "empty" in err
 
 
-def test_sweep_float_mode_and_slope(capsys):
+def test_sweep_fit_slope(capsys):
     code, out, err = run_cli(
         capsys,
         "sweep", "--q", "1/2", "--k", "1", "--n", "12..24", "--n1", "equal", "--fit-slope",
@@ -181,7 +182,7 @@ def test_sweep_float_mode_and_slope(capsys):
     assert abs(slope - (-0.6931471805599453)) < 0.05
 
 
-def test_sweep_decimal_q_requires_float_mode(capsys):
+def test_sweep_rejects_decimal_q(capsys):
     # all arithmetic is exact, so a decimal q is an input error
     code, out, err = run_cli(capsys, "sweep", "--q", "0.5", "--k", "1", "--n", "1..4")
     assert code == 2
@@ -508,7 +509,9 @@ def test_cli_start_up_skips_modules_a_sweep_never_uses():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "qexchange.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json", "typing", "qexchange.verify", "random"}
+    assert not loaded & {
+        "dataclasses", "inspect", "json", "typing", "qexchange.projection", "qexchange.verify", "random"
+    }
     # the suites, imported only by verify-all, still load in a fresh interpreter
     result = subprocess.run(
         [sys.executable, "-m", "qexchange", "verify-all", "--max-n", "2", "--q", "1/2"],
@@ -516,6 +519,60 @@ def test_cli_start_up_skips_modules_a_sweep_never_uses():
     )
     assert result.returncode == 0, result.stderr
     assert "ALL OK" in result.stdout
+
+
+def test_package_import_loads_no_submodule():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = "import sys, qexchange; print(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert [m for m in result.stdout.split() if m.startswith("qexchange.")] == []
+
+
+def test_package_surface_is_its_export_table():
+    import qexchange
+
+    namespace = {}
+    exec("from qexchange import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qexchange.__all__)
+    assert len(qexchange.__all__) == 40
+    for name in qexchange.__all__:
+        home = sys.modules[qexchange._HOME[name]]
+        assert getattr(qexchange, name) is getattr(home, name)
+    assert set(qexchange.__all__) <= set(dir(qexchange))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qexchange.no_such_name  # noqa: B018
+
+
+def test_package_reads_a_patched_name_from_its_home_module(monkeypatch):
+    # the benchmark's tracer patches functions in their home modules only
+    import qexchange
+
+    def patched(m, k):
+        return Fraction(0)
+
+    monkeypatch.setattr(definetti, "approx_error", patched)
+    assert qexchange.approx_error is patched
+    monkeypatch.undo()
+    assert qexchange.approx_error is not patched
+
+
+def test_public_annotations_resolve():
+    import inspect
+    import typing
+
+    import qexchange
+
+    values = [getattr(qexchange, name) for name in qexchange.__all__]
+    for cls in filter(inspect.isclass, values):
+        for base in cls.__mro__:  # inherited methods, such as the private records' to_json
+            for attr in vars(base).values():
+                # the function behind a classmethod, staticmethod or property
+                values.append(getattr(attr, "__func__", getattr(attr, "fget", attr)))
+    functions = [value for value in values if inspect.isfunction(value)]
+    assert MeasureSampler.draw in functions and QExchMeasure.from_json.__func__ in functions
+    for fn in functions:
+        typing.get_type_hints(fn)
 
 
 def test_module_entry_point():
