@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 #: The public names, by home module.
 _EXPORTS = {
     "qcore": (
-        "MAX_WORD_LENGTH", "Word", "block_word", "check_q", "coinversions",
-        "enumerate_level", "inversions", "q_binomial", "q_binomial_numerator",
-        "q_factorial", "q_int", "q_pochhammer", "swap_adjacent",
+        "Word", "block_word", "check_q", "coinversions", "enumerate_level", "inversions",
+        "q_binomial", "q_binomial_numerator", "q_factorial", "q_int", "q_pochhammer", "swap_adjacent",
     ),
     "measures": (
         "MAX_DENSE_N", "DenseMeasure", "MeasureSampler", "QExchMeasure", "evaluate",

@@ -6,7 +6,8 @@ block words ``1^k 0^(n-k)``.  :class:`QExchMeasure` stores exactly those
 ``n + 1`` base values; everything else is ``q^coinversions * base[ones]``.
 :class:`DenseMeasure` is the brute-force counterpart, a full table over all
 ``2^n`` words, used as an oracle and for measures that are not q-exchangeable.
-:class:`MeasureSampler` draws words from a compact measure.
+:class:`MeasureSampler` draws words from a compact measure through its convex
+decomposition: a level by its mass, then a word of that level.
 
 JSON wire format of a measure and of its mixing measure, written by
 ``to_json`` and read by the classmethod ``from_json`` (round-trips bit for
@@ -271,44 +272,37 @@ def is_q_exchangeable(d: DenseMeasure, q: Fraction) -> tuple[bool, tuple[Word, i
 # ---------------------------------------------------------------------------
 
 class MeasureSampler:
-    """Sequential-conditional sampler for a compact measure.
+    """Sampler for a compact measure through its convex decomposition.
 
-    Folding the base vector one coordinate at a time gives the level bases
-    ``B_j`` of every leading projection via
-    ``B_j[a] = B_{j+1}[a] + q^(j-a) * B_{j+1}[a+1]``; the conditional
-    probability that the next bit is 1 given a prefix with ``a`` ones is then
-    ``q^(j-a) * B_{j+1}[a+1] / B_j[a]``.  Conditionals are computed exactly
-    and rounded to float once, at table-build time, so each draw costs n
-    uniform variates and n lookups.
+    A draw picks level ``i`` with probability ``level_mass(i)``, then a word of
+    that level from ``extreme(n, i)``, which weighs it by ``q^coinversions``.
+    A leading 0 takes one coinversion per later 1, so
+    ``[L, r]_q = [L-1, r-1]_q + q^r [L-1, r]_q``: with ``r`` ones left for
+    ``L`` positions, the next bit is 1 with probability
+    ``[L-1, r-1]_q / [L, r]_q = (1 - q^r) / (1 - q^L)``.  Both tables are exact
+    until rounded to float once, at build time; a draw takes ``n + 1`` variates.
     """
 
     def __init__(self, m: QExchMeasure):
+        from itertools import accumulate  # not a module import: a sweep never samples
         self.n = m.n
-        levels: list[list[Fraction]] = [list(m.base)]
-        for j in range(m.n - 1, -1, -1):
-            upper = levels[-1]
-            levels.append([upper[a] + m.q ** (j - a) * upper[a + 1] for a in range(j + 1)])
-        levels.reverse()  # levels[j] is the base vector of the j-dim projection
-        self._p_one = []
-        for j in range(m.n):
-            row = []
-            for a in range(j + 1):
-                mass = levels[j][a]
-                if mass == 0:
-                    row.append(0.0)  # unreachable prefix
-                else:
-                    row.append(float(m.q ** (j - a) * levels[j + 1][a + 1] / mass))
-            self._p_one.append(row)
+        # the last partial sum is exactly 1, so rounds to 1.0
+        self._cumulative = [float(s) for s in accumulate(map(m.level_mass, range(m.n + 1)))]
+        a, b = m.q.numerator, m.q.denominator
+        self._rows = [  # row j is for L = n - j positions; an int ratio, rounded once
+            [(b**r - a**r) * b ** (L - r) / (b**L - a**L) for r in range(L + 1)] for L in range(m.n, 0, -1)
+        ]
 
     def draw(self, rng) -> Word:
         """One word drawn with ``rng``, a ``random.Random`` (left unannotated:
         the module imports ``random`` only inside ``random_q_exch``)."""
+        u = rng.random()
+        ones = next(i for i, c in enumerate(self._cumulative) if u < c)
         packed = 0
-        ones = 0
-        for j in range(self.n):
-            if rng.random() < self._p_one[j][ones]:
+        for j, row in enumerate(self._rows):
+            if rng.random() < row[ones]:
                 packed |= 1 << j
-                ones += 1
+                ones -= 1
         return Word(packed, self.n)
 
 

@@ -29,11 +29,6 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 
-#: Packed words use a single machine-friendly int; 63 bits keeps shifts cheap
-#: and leaves room for a sign bit in foreign consumers.
-MAX_WORD_LENGTH = 63
-
-
 def check_q(q: Fraction) -> Fraction:
     """Validate a deformation parameter: a Fraction strictly between 0 and 1.
 
@@ -108,9 +103,7 @@ class Word(_Record):
     length: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= MAX_WORD_LENGTH:
-            raise ValueError(f"word length must be in 0..{MAX_WORD_LENGTH}, got {self.length}")
-        if not 0 <= self.packed < (1 << self.length):
+        if self.length < 0 or not 0 <= self.packed < (1 << self.length):
             raise ValueError(f"packed value {self.packed} out of range for length {self.length}")
 
     @classmethod
@@ -188,8 +181,6 @@ def enumerate_level(n: int, k: int) -> Iterator[Word]:
     (next-higher int with the same popcount), so the stream is canonical and
     needs no materialized set.
     """
-    if n > MAX_WORD_LENGTH:
-        raise ValueError(f"packed enumeration supports n <= {MAX_WORD_LENGTH}, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:

@@ -90,7 +90,8 @@ def _measure_inventory(n: int, q: Fraction) -> list[measures.QExchMeasure]:
 
 
 def suite_exchangeability(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
-    """Adjacent-swap rule on dense tables of every constructed measure."""
+    """The dense tabulation (``to_dense``, ``coinversions``) of every constructed
+    measure against ``is_q_exchangeable``; any base vector passes it."""
     def checks() -> Checks:
         for q in qs:
             for n in range(max_n + 1):
@@ -131,21 +132,25 @@ def suite_projection(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
 
 
 def suite_upper_bound(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
-    """Projection error dominated by ``upper_constant * q^n`` everywhere."""
+    """Each extreme's error ``D(n, n1, k)`` dominated by
+    ``upper_constant * q^n``, and a mixture's error by the alpha-mix of those
+    ``D``: the triangle inequality over its convex decomposition."""
     def checks() -> Checks:
         for q in qs:
             for n in range(max_n + 1):
                 for k in range(min(n, MAX_K) + 1):
                     cap = bounds.upper_constant(k, q) * q**n
-                    for n1 in range(n + 1):
-                        d = definetti.extreme_vs_bernoulli_distance(n, n1, k, q)
+                    ds = [definetti.extreme_vs_bernoulli_distance(n, n1, k, q) for n1 in range(n + 1)]
+                    for n1, d in enumerate(ds):
                         yield d <= cap, lambda: (
                             f"upper bound violated at n={n}, n1={n1}, k={k}, q={q}: {d} > {cap}"
                         )
                     for seed in range(UPPER_BOUND_SEEDS):
-                        err = definetti.approx_error(measures.random_q_exch(n, q, seed), k)
-                        yield err <= cap, lambda: (
-                            f"mixture error above bound at n={n}, k={k}, q={q}, seed={seed}: {err} > {cap}"
+                        m = measures.random_q_exch(n, q, seed)
+                        err = definetti.approx_error(m, k)
+                        bound = sum(a * d for a, d in zip(definetti.decompose(m).alpha, ds))
+                        yield err <= bound, lambda: (
+                            f"mixture error above bound at n={n}, k={k}, q={q}, seed={seed}: {err} > {bound}"
                         )
     return _first_failure("upper-bound", checks())
 

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qexchange import (
     QExchMeasure,
     Word,
     block_word,
+    decompose,
     enumerate_level,
     evaluate,
     extreme_measure,
@@ -22,7 +24,7 @@ from qexchange import (
     swap_adjacent,
     to_dense,
 )
-from oracles import literal_bernoulli_base
+from oracles import chi2_sf, literal_bernoulli_base
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -246,10 +248,43 @@ def test_sampler_one_bit_frequency():
 
 
 def test_sampler_respects_support():
-    m = q_bernoulli(6, 1, HALF)  # support: at most one 1
+    for m in (
+        q_bernoulli(6, 1, HALF),  # support: at most one 1
+        extreme_measure(6, 3, Fraction(2, 3)),  # three ones: the within-level table at r >= 2
+    ):
+        sampler = MeasureSampler(m)
+        rng = random.Random(7)
+        counts = Counter(sampler.draw(rng).packed for _ in range(2000))
+        support = {p: 2000 * float(w) for p, w in enumerate(to_dense(m).weights) if w > 0}
+        assert counts.keys() == support.keys()
+        stat = sum((counts[p] - e) ** 2 / e for p, e in support.items())  # every cell expects > 10
+        assert chi2_sf(stat, len(support) - 1) > 0.001
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampler_draws_long_words_whose_levels_fit_the_decomposition(seed):
+    m = random_q_exch(64, Fraction(2, 3), seed)
     sampler = MeasureSampler(m)
-    rng = random.Random(7)
-    assert all(sampler.draw(rng).ones <= 1 for _ in range(2000))
+    rng = random.Random(seed)
+    draws = 4000
+    counts = [0] * 65
+    for _ in range(draws):
+        w = sampler.draw(rng)
+        assert w.length == 64
+        counts[w.ones] += 1
+    expected = [draws * float(a) for a in decompose(m).alpha]
+    cells = [(c, e) for c, e in zip(counts, expected) if e >= 5]
+    small = [i for i, e in enumerate(expected) if e < 5]
+    if small:  # the levels expected fewer than 5 times share one cell
+        cells.append((sum(counts[i] for i in small), sum(expected[i] for i in small)))
+    stat = sum((c - e) ** 2 / e for c, e in cells)
+    assert len(cells) > 50 and chi2_sf(stat, len(cells) - 1) > 0.001
+    assert MeasureSampler(random_q_exch(128, Fraction(2, 3), seed)).draw(rng).length == 128
+
+
+def test_evaluate_long_block_words():
+    m = random_q_exch(64, Fraction(2, 3), 0)
+    assert all(evaluate(m, block_word(64, k)) == m.base[k] for k in range(65))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,9 @@ def test_word_validation():
     with pytest.raises(ValueError):
         Word(4, 2)
     with pytest.raises(ValueError):
-        Word(0, 64)
+        Word(1 << 64, 64)
+    with pytest.raises(ValueError):
+        Word(0, -1)
     with pytest.raises(ValueError):
         Word.from_bits((0, 2))
 
@@ -146,13 +148,11 @@ def test_enumerate_level_counts_and_order():
 
 
 def test_enumerate_level_large_n_streams():
-    first = next(enumerate_level(63, 1))
-    assert first.packed == 1 and first.length == 63
+    first = next(enumerate_level(64, 1))
+    assert first.packed == 1 and first.length == 64
 
 
 def test_enumerate_level_errors():
-    with pytest.raises(ValueError):
-        list(enumerate_level(64, 1))
     with pytest.raises(ValueError):
         list(enumerate_level(3, 4))
 
