@@ -104,7 +104,7 @@ def _discard(stream) -> None:
 def _exact_digits():
     """Lift the interpreter's int-to-str digit limit while exact output is
     formatted.  Readers keep the limit, so an over-long input entry stays a
-    malformed input."""
+    malformed input, and ``random-measure`` writes under it."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before 3.10.7
     if limit:
         sys.set_int_max_str_digits(0)
@@ -266,8 +266,14 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise _UsageError(f"n must be >= 0, got {args.n}")
     m = measures.random_q_exch(args.n, q, args.seed)
-    with _exact_digits():
-        _emit(m.to_json() + "\n", args.out)
+    try:  # under the limit ``decompose`` reads with, so the file can be read back
+        text = m.to_json()
+    except ValueError as exc:
+        raise _UsageError(
+            f"a measure at n={args.n} has integers of more than {sys.get_int_max_str_digits()} "
+            "digits, the limit a measure file is read with; use a smaller n"
+        ) from exc
+    _emit(text + "\n", args.out)
     return 0
 
 

@@ -13,7 +13,8 @@ The extreme-vs-Bernoulli distance has a closed form over target levels:
                   * | [n - k, n1 - k1]_q / [n, n1]_q  -  (q^n1; 1/q)_k1 |
 
 which equals the total variation of the two k-dimensional pushforwards.
-``approx_error`` is the alpha-mix of the same level terms inside the ``|.|``.
+``approx_error`` is the alpha-mix of the same level terms inside the ``|.|``,
+summed in integers over one common denominator and reduced once at the end.
 The binomial ratio is a ratio of q-Pochhammer products,
 
     [n - k, n1 - k1]_q / [n, n1]_q
@@ -25,6 +26,7 @@ binomial is read.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .qcore import _Record, check_q, q_binomial_numerator
@@ -168,14 +170,24 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fract
 
 def approx_error(m: QExchMeasure, k: int) -> Fraction:
     """TV distance between the k-projection of ``m`` and the k-projection of
-    its canonical q-Bernoulli mixture, from the level masses alone."""
+    its canonical q-Bernoulli mixture, from the level masses alone.
+
+    Each level sum ``sum_n1 alpha_n1 g_n1[k1] / d_n1`` (:func:`_level_gaps`)
+    is kept as a plain int over one common denominator, the running lcm of
+    the reduced denominators ``alpha_n1.denominator * d_n1``, so only ``k + 1``
+    ints are held; one ``Fraction`` is built at the end."""
     if not 0 <= k <= m.n:
         raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
-    levels = [Fraction(0)] * (k + 1)
+    levels, common = [0] * (k + 1), 1
     for n1 in range(m.n + 1):
         alpha = m.level_mass(n1)
         if alpha:
             gaps, d = _level_gaps(m.n, n1, k, m.q)
+            den = alpha.denominator * d
+            grown = math.lcm(common, den)
+            levels = [x * (grown // common) for x in levels]
+            common = grown
+            scale = alpha.numerator * (common // den)
             for k1, g in enumerate(gaps):
-                levels[k1] += alpha * g / d
-    return sum(map(abs, levels))
+                levels[k1] += scale * g
+    return Fraction(sum(map(abs, levels)), common)

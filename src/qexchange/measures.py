@@ -18,12 +18,15 @@ bit):
 
 ``n`` is a JSON integer, the vector is a JSON array of ``n + 1`` entries, and
 every scalar is a fraction string such as ``"1/3"`` or ``"0"``; anything else
-is rejected with ``ValueError``.  The CLI reads ``--q`` with the same grammar.
+is rejected with ``ValueError``, and so is an integer longer than the
+interpreter's int-to-str digit limit (4300 digits by default).  The CLI reads
+``--q`` with the same grammar.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .qcore import Word, _Record, check_q, coinversions, q_binomial, q_binomial_numerator
@@ -99,6 +102,8 @@ class _LevelRecord(_Record):
             record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed {cls._what} JSON: {exc}") from exc
+        except ValueError as exc:  # a JSON integer past the digit limit
+            raise ValueError(f"malformed {cls._what} JSON: {_too_many_digits()}") from exc
         if not isinstance(record, dict):
             raise ValueError(f"malformed {cls._what} JSON: expected an object")
         try:
@@ -319,6 +324,14 @@ def _scalar_from_json(v) -> Fraction:
         return Fraction(v)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {v!r}") from exc
+    except ValueError as exc:  # a numerator or denominator past the digit limit
+        raise ValueError(_too_many_digits()) from exc
+
+
+def _too_many_digits() -> str:
+    """The interpreter's int digit limit as a reader's error, without Python's
+    hint to lift it: a reader keeps the limit."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits, the limit for reading one"
 
 
 def _int_from_json(v) -> int:

@@ -62,13 +62,17 @@ def test_exact_output_past_the_digit_limit(tmp_path, capsys):
     assert code == 0
     numerator, denominator = out.strip().split("/")
     assert len(denominator) > 4300 and len(numerator) > 4300
-    path = tmp_path / "m.json"
-    code, _, _ = run_cli(capsys, "random-measure", "--n", "200", "--q", "2/3", "--out", str(path))
-    assert code == 0
     assert sys.get_int_max_str_digits() == limit
-    code, out, err = run_cli(capsys, "decompose", str(path), "--k", "2")
-    assert code == 2
-    assert out == "" and err.startswith("error: malformed measure record")
+    path = tmp_path / "m.json"
+    one = "1" * (limit + 1)
+    for record, what in [
+        (f'{{"n": 0, "q": "1/2", "base": ["{one}/{one}"]}}', "record"),
+        (f'{{"n": {one}, "q": "1/2", "base": ["1"]}}', "JSON"),
+    ]:
+        path.write_text(record)
+        code, out, err = run_cli(capsys, "decompose", str(path), "--k", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed measure {what}: an integer has more than {limit} digits, the limit for reading one\n"
     code, out, _ = run_cli(capsys, "distance", "--n", "100", "--n1", "0", "--k", "100", "--q", "9/10")
     assert code == 0 and out.endswith("PASS\n")
 
@@ -370,6 +374,30 @@ def test_random_measure_stdout(capsys):
     assert QExchMeasure.from_json(out) == random_q_exch(3, Fraction(1, 3), 7)
 
 
+def test_random_measure_writes_only_files_decompose_reads(tmp_path, capsys):
+    # random-measure formats under the digit limit decompose reads with: its
+    # entries stay under 4300 digits up to n = 189 at q = 2/3
+    path = tmp_path / "m.json"
+    argv = ["random-measure", "--n", "180", "--q", "2/3", "--seed", "0", "--out", str(path)]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert QExchMeasure.from_json(path.read_text()) == random_q_exch(180, Fraction(2, 3), 0)
+    code, out, _ = run_cli(capsys, "decompose", str(path), "--k", "4")
+    assert code == 0 and json.loads(out)["pass"] is True
+    big = tmp_path / "big.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "qexchange", "random-measure", "--n", "190", "--q", "2/3", "--out", str(big)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: a measure at n=190 has integers of more than 4300 digits, "
+        "the limit a measure file is read with; use a smaller n\n"
+    )
+    assert not big.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-all
 # ---------------------------------------------------------------------------
@@ -484,11 +512,15 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
     # the reference outputs of the library, byte for byte
     measure = str(tmp_path / "m.json")
     assert run_cli(capsys, "random-measure", "--n", "64", "--q", "2/3", "--seed", "0", "--out", measure)[0] == 0
+    large = str(tmp_path / "m180.json")
+    assert run_cli(capsys, "random-measure", "--n", "180", "--q", "2/3", "--seed", "1", "--out", large)[0] == 0
     cases = [
         (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
          "d07e0e5534e774ead2b09cbb1126464cd05dde62e219a3626baa0c58101bf624"),
         (["decompose", measure, "--k", "4"],
          "56ca2a15e2c5d2cfb036cad5d0e8c063895b9b0cb014b66dd2f4e1f17d186bc1"),
+        (["decompose", large, "--k", "8"],
+         "1cfdf99d49bf63db424d8ed6c5eb96db4fc5f56d4199901af2b7c08eec11be2e"),
         (["verify-all", "--max-n", "8"],
          "685e0d9ced77f321f58ba1744a170ec5283f17a2de8bb9a75bb6463101e71e08"),
         (["qbinom", "1000", "2", "--q", "2/3"],

@@ -6,6 +6,7 @@ import pytest
 from qexchange import (
     DistanceReport,
     MixingMeasure,
+    QExchMeasure,
     approx_error,
     decompose,
     extreme_measure,
@@ -203,6 +204,46 @@ def test_approx_error_matches_materialised_mixture(q):
 @pytest.mark.parametrize("seed", range(4))
 def test_approx_error_matches_materialised_mixture_at_n64(seed):
     m = random_q_exch(64, Fraction(2, 3), seed)
+    assert approx_error(m, 4) == materialised_approx_error(m, 4)
+
+
+def convex_combination(weights: dict[int, Fraction], n: int, q: Fraction) -> QExchMeasure:
+    """``sum_n1 weights[n1] * extreme(n, n1)``, whose level masses are the weights."""
+    base = [Fraction(0)] * (n + 1)
+    for n1, w in weights.items():
+        base[n1] = w * extreme_measure(n, n1, q).base[n1]
+    return QExchMeasure(n, q, tuple(base))
+
+
+# level masses of coprime denominators (two masses that sum to 1 share
+# theirs), so the common denominator of ``approx_error`` is a true lcm and not
+# one shared ``total``; in the last, no single denominator is the lcm 30
+COPRIME_WEIGHTS = (
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 3), Fraction(2, 7), Fraction(8, 21)),
+    (Fraction(1, 2), Fraction(1, 5), Fraction(3, 10)),
+    (Fraction(1, 6), Fraction(1, 10), Fraction(1, 15), Fraction(2, 3)),
+)
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 7), Fraction(999, 1000)])
+def test_approx_error_with_coprime_level_mass_denominators(q):
+    for n in range(1, 11):
+        for weights in COPRIME_WEIGHTS:
+            step = n // len(weights) + 1
+            for shift in range(n + 1):  # evenly spaced levels, rotated through 0..n
+                mix = {(shift + i * step) % (n + 1): w for i, w in enumerate(weights)}
+                if len(mix) < len(weights):
+                    continue
+                m = convex_combination(mix, n, q)
+                assert decompose(m).alpha == tuple(mix.get(i, 0) for i in range(n + 1))
+                for k in range(n + 1):
+                    assert approx_error(m, k) == materialised_approx_error(m, k), (n, mix, k)
+
+
+def test_approx_error_with_coprime_level_mass_denominators_at_n64():
+    q = Fraction(2, 3)
+    m = convex_combination(dict(zip((5, 32, 60), COPRIME_WEIGHTS[1])), 64, q)
     assert approx_error(m, 4) == materialised_approx_error(m, 4)
 
 
