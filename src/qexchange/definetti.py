@@ -14,7 +14,8 @@ The extreme-vs-Bernoulli distance has a closed form over target levels:
 
 which equals the total variation of the two k-dimensional pushforwards.
 ``approx_error`` is the alpha-mix of the same level terms inside the ``|.|``,
-summed in integers over one common denominator and reduced once at the end.
+summed in integers over one common denominator fixed before the sum and
+reduced once at the end.
 The binomial ratio is a ratio of q-Pochhammer products,
 
     [n - k, n1 - k1]_q / [n, n1]_q
@@ -103,59 +104,85 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
     return QExchMeasure(n, mu.q, tuple(base))
 
 
-def _pochhammer_prefixes(m: int, r: int, a: int, b: int) -> list[tuple[int, int]]:
-    """``(b^s (q^m; 1/q)_j, s)`` for ``j = 0..r`` and ``q = a/b``, ``r <= m``:
-    the integer product ``prod_{i<j} (b^(m-i) - a^(m-i))`` and its summed
-    exponent ``s = sum_{i<j} (m - i)``."""
-    out = [(1, 0)]
-    for i in range(r):
-        prod, s = out[-1]
-        out.append((prod * (b ** (m - i) - a ** (m - i)), s + m - i))
-    return out
+class _LevelKernel:
+    """Signed level terms of the k-projection of ``extreme(n, n1)`` minus that
+    of the q-Bernoulli measure at ``x = q^n1``, for the levels ``n1`` in
+    ``bottom..top`` at one ``(n, k, q)``, in integers over one denominator.
 
+    With ``q = a/b`` and ``F_j = b^j - a^j``, each product of the
+    Pochhammer-ratio identity (module docstring) is an integer over a power of
+    ``b``: ``P_j / b^(sum of its exponents)`` for ``(q^n1; 1/q)_j`` with
+    ``P_j = F_n1 ... F_(n1-j+1)``, likewise ``R_j`` for ``(q^(n-n1); 1/q)_j``
+    and ``Q_j`` for ``(q^n; 1/q)_j``.  ``R_(k-k1)`` is zero below level
+    ``low = max(0, k - (n - n1))``, where the extreme measure puts no mass, and
+    the first ``low`` factors of ``P`` are the last of ``Q_k``:
+    ``Q_k = Q_(k-low) P_low``.  With ``N(k, k1)`` the numerator of
+    ``[k, k1]_q``, ``e = (n1 - k1)(k - k1)``, ``sQ`` and ``sR`` the exponents
+    of ``b`` under ``Q_k`` and ``R_(k-k1)``, level ``k1 <= n1`` is (the others
+    vanish)
 
-def _level_gaps(n: int, n1: int, k: int, q: Fraction) -> tuple[list[int], int]:
-    """Signed level terms ``g[k1] / d`` of the k-projection of ``extreme(n, n1)``
-    minus that of the q-Bernoulli measure at ``x = q^n1``, in integers over
-    one denominator ``d = b^T D``, ``T`` the largest ``t`` below.
+        N(k, k1) a^e (P_k1 / P_low) (R_(k-k1) b^(sQ - sR) - Q_k) / (Q_(k-low) b^t)   for k1 >= low,
+        -N(k, k1) a^e P_k1 / b^t                                                      for k1 < low,
 
-    With ``q = a/b`` write each product of the Pochhammer-ratio identity (module
-    docstring) as an integer over a power of ``b`` (:func:`_pochhammer_prefixes`):
-    ``P / b^s`` for ``(q^n1; 1/q)_k1``, ``R / b^sR`` for
-    ``(q^(n-n1); 1/q)_(k-k1)`` and ``Q / b^sQ`` for ``(q^n; 1/q)_k``.  ``R`` is
-    zero below level ``low = max(0, k - (n - n1))``, where the extreme measure
-    puts no mass, and the first ``low`` factors of ``P`` are the last of ``Q``:
-    ``Q = D P_low``.  With ``N(k, k1)`` the numerator of ``[k, k1]_q`` and
-    ``e = (n1 - k1)(k - k1)``, level ``k1 <= n1`` is (the others vanish)
+    with ``t = n1 k - k1 (k1 - 1) / 2``.  ``low`` grows with ``n1``, so the
+    ``Q_(k-low)`` of every level divides that of ``bottom``, and
+    ``Q_(k-low(bottom)) b^(top k)`` is a common denominator of all the levels.
 
-        N(k, k1) a^e (P / P_low) (R b^sQ - Q b^sR) / (b^t D)   for k1 >= low,
-        -N(k, k1) a^e P D / (b^t D)                             for k1 < low,
-
-    with ``t = s + k1 (k - k1) + e``, plus ``sR`` from level ``low`` on.
+    The set-up runs once: the row ``N(k, .)``, the factors ``F_j`` the levels
+    read, ``Q_k`` and the cofactors ``Q_(k-low(bottom)) / Q_(k-low)``.
+    :meth:`gaps` then runs once per level, and keeps the ``low`` cancellation:
+    a level near the top multiplies by ``P_k1 / P_low``, not by ``P_k1``.
     """
-    a, b = q.numerator, q.denominator
-    low = max(0, k - (n - n1))
-    denom, s_denom = _pochhammer_prefixes(n, k - low, a, b)[-1]
-    rests = _pochhammer_prefixes(n - n1, k - low, a, b)
-    terms = []
-    poch, s = 1, 0  # P, and P / P_low from level low on
-    for k1 in range(min(k, n1) + 1):
-        if k1 == low:
-            whole, b_whole = denom * poch, b ** (s_denom + s)  # Q and b^sQ
-            poch = 1
-        e = (n1 - k1) * (k - k1)
-        t = s + k1 * (k - k1) + e
-        if k1 < low:
-            x = -poch * denom
-        else:
-            rest, s_rest = rests[k - k1]
-            x = poch * (rest * b_whole - whole * b**s_rest)
-            t += s_rest
-        terms.append((q_binomial_numerator(k, k1, q) * a**e * x, t))
-        poch *= b ** (n1 - k1) - a ** (n1 - k1)
-        s += n1 - k1
-    t_max = max(t for _, t in terms)
-    return [x * b ** (t_max - t) for x, t in terms], denom * b**t_max
+
+    __slots__ = ("n", "k", "a", "b", "top", "binoms", "factors", "cofactors", "whole", "s_whole", "denominator")
+
+    def __init__(self, n: int, k: int, q: Fraction, bottom: int, top: int) -> None:
+        a, b = q.numerator, q.denominator
+        self.n, self.k, self.a, self.b, self.top = n, k, a, b, top
+        self.binoms = [q_binomial_numerator(k, k1, q) for k1 in range(k + 1)]
+        # F_j for the j that P (levels bottom..top), R and Q_k read, so that one
+        # level costs O(k) factors, not O(n); 0 elsewhere, where only the last,
+        # unused update of a step's running product reads
+        self.factors = factors = [0] * (n + 1)
+        for j in {
+            *range(max(bottom - k, 0) + 1, top + 1),
+            *range(max(n - top - k, 0) + 1, n - bottom + 1),
+            *range(n - k + 1, n + 1),
+        }:
+            factors[j] = b**j - a**j
+        # cofactors[j] = Q_c / Q_j for c = k - low(bottom), built from Q_c's last factor down
+        c = k - self._low(bottom)
+        self.cofactors = cofactors = [1] * (c + 1)
+        for j in range(c - 1, -1, -1):
+            cofactors[j] = cofactors[j + 1] * factors[n - j]
+        self.whole = math.prod((factors[n - j] for j in range(c, k)), start=cofactors[0])
+        self.s_whole = n * k - k * (k - 1) // 2  # sQ
+        self.denominator = cofactors[0] * b ** (top * k)
+
+    def _low(self, n1: int) -> int:
+        return max(0, self.k - (self.n - n1))
+
+    def gaps(self, n1: int) -> list[int]:
+        """Level terms ``g[k1]``, ``k1 = 0..min(k, n1)``, of level ``n1`` over
+        :attr:`denominator`."""
+        n, k, a, b, factors, binoms = self.n, self.k, self.a, self.b, self.factors, self.binoms
+        low, high, m = self._low(n1), min(k, n1), n - n1
+        # R_j b^(sQ - sR_j) for j = k-high..k-low, R_j = F_m F_(m-1) ... F_(m-j+1)
+        rest = math.prod(factors[m - i] for i in range(k - high))
+        rests = []
+        for j in range(k - high, k - low + 1):
+            rests.append(rest * b ** (self.s_whole - j * m + j * (j - 1) // 2))
+            rest *= factors[m - j]
+        shift = (self.top - n1) * k
+        out = []
+        poch = -self.cofactors[0]  # -Q_(k-low(bottom)) P_k1, then the cofactor times P_k1 / P_low
+        for k1 in range(high + 1):
+            if k1 == low:
+                poch = self.cofactors[k - low]
+            x = poch if k1 < low else poch * (rests[high - k1] - self.whole)
+            out.append(binoms[k1] * a ** ((n1 - k1) * (k - k1)) * b ** (shift + k1 * (k1 - 1) // 2) * x)
+            poch *= factors[n1 - k1]
+        return out
 
 
 def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:
@@ -164,30 +191,28 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fract
     check_q(q)
     if not (0 <= k <= n and 0 <= n1 <= n):
         raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
-    gaps, d = _level_gaps(n, n1, k, q)
-    return Fraction(sum(map(abs, gaps)), d)
+    kernel = _LevelKernel(n, k, q, n1, n1)
+    return Fraction(sum(map(abs, kernel.gaps(n1))), kernel.denominator)
 
 
 def approx_error(m: QExchMeasure, k: int) -> Fraction:
     """TV distance between the k-projection of ``m`` and the k-projection of
     its canonical q-Bernoulli mixture, from the level masses alone.
 
-    Each level sum ``sum_n1 alpha_n1 g_n1[k1] / d_n1`` (:func:`_level_gaps`)
-    is kept as a plain int over one common denominator, the running lcm of
-    the reduced denominators ``alpha_n1.denominator * d_n1``, so only ``k + 1``
-    ints are held; one ``Fraction`` is built at the end."""
+    One :class:`_LevelKernel`, set up for the levels from the lowest to the
+    highest with mass, gives every level's terms ``g_n1[k1]`` over one
+    denominator ``d``.  With ``L`` the lcm of the level-mass denominators,
+    the sum ``sum_n1 alpha_n1 g_n1[k1]`` is a plain int over ``L d``, a
+    denominator fixed before the loop, so only ``k + 1`` ints are held and
+    one ``Fraction`` is built at the end."""
     if not 0 <= k <= m.n:
         raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
-    levels, common = [0] * (k + 1), 1
-    for n1 in range(m.n + 1):
-        alpha = m.level_mass(n1)
-        if alpha:
-            gaps, d = _level_gaps(m.n, n1, k, m.q)
-            den = alpha.denominator * d
-            grown = math.lcm(common, den)
-            levels = [x * (grown // common) for x in levels]
-            common = grown
-            scale = alpha.numerator * (common // den)
-            for k1, g in enumerate(gaps):
-                levels[k1] += scale * g
-    return Fraction(sum(map(abs, levels)), common)
+    masses = [(n1, alpha) for n1 in range(m.n + 1) if (alpha := m.level_mass(n1))]
+    kernel = _LevelKernel(m.n, k, m.q, masses[0][0], masses[-1][0])
+    lcm = math.lcm(*(alpha.denominator for _, alpha in masses))
+    levels = [0] * (k + 1)
+    for n1, alpha in masses:
+        weight = alpha.numerator * (lcm // alpha.denominator)
+        for k1, g in enumerate(kernel.gaps(n1)):
+            levels[k1] += weight * g
+    return Fraction(sum(map(abs, levels)), lcm * kernel.denominator)

@@ -514,6 +514,8 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
     assert run_cli(capsys, "random-measure", "--n", "64", "--q", "2/3", "--seed", "0", "--out", measure)[0] == 0
     large = str(tmp_path / "m180.json")
     assert run_cli(capsys, "random-measure", "--n", "180", "--q", "2/3", "--seed", "1", "--out", large)[0] == 0
+    top = tmp_path / "e200.json"  # extreme(200, 200): one level, low = k = 200
+    top.write_text(json.dumps({"n": 200, "q": "2/3", "base": ["0"] * 200 + ["1"]}))
     cases = [
         (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
          "d07e0e5534e774ead2b09cbb1126464cd05dde62e219a3626baa0c58101bf624"),
@@ -527,6 +529,10 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
          "e316657c7188f94e4b27a513e90b59702f9615796138f86d8203d83ee47420f5"),
         (["distance", "--n", "400", "--n1", "0", "--k", "400", "--q", "2/3"],
          "550c291a433f99390c0d99081f19755eedc2c83154f0283b96999a495d4228a9"),
+        (["decompose", str(top), "--k", "200"],
+         "43c38ce4112bfa3fbe776808b282410069ae1ffbdc943840c80024b2644f7bdc"),
+        (["distance", "--n", "200", "--n1", "200", "--k", "200", "--q", "2/3"],
+         "de85fadbdf1c5c29b72c01c7097503a5dbd6bdf2257f06fbebb9e075a07bb03f"),
     ]
     for argv, digest in cases:
         code, out, _ = run_cli(capsys, *argv)

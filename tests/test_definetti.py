@@ -22,7 +22,7 @@ from qexchange import (
     to_dense,
     tv_distance,
 )
-from qexchange.definetti import _level_gaps
+from qexchange.definetti import _LevelKernel
 from oracles import materialised_approx_error, q_binomial_row
 
 HALF = Fraction(1, 2)
@@ -161,8 +161,9 @@ def test_level_gaps_against_binomial_ratio(n, q):
     for k in (0, 1, 4, 12):
         inner, small = q_binomial_row(n - k, q), q_binomial_row(k, q)
         for n1 in sorted({0, 1, k - 1, k, n // 2, n - k, n - k + 1, n - 1, n} & set(range(n + 1))):
-            gaps, d = _level_gaps(n, n1, k, q)
-            got = [Fraction(g, d) for g in gaps] + [Fraction(0)] * (k + 1 - len(gaps))
+            kernel = _LevelKernel(n, k, q, n1, n1)
+            gaps = kernel.gaps(n1)
+            got = [Fraction(g, kernel.denominator) for g in gaps] + [Fraction(0)] * (k + 1 - len(gaps))
             expected = []
             for k1 in range(k + 1):
                 ratio = inner[n1 - k1] / whole[n1] if 0 <= n1 - k1 <= n - k else 0
@@ -183,11 +184,13 @@ def test_distance_preconditions():
 # ---------------------------------------------------------------------------
 
 def test_approx_error_of_extreme_equals_pair_distance():
-    for n in range(7):
+    cases = [(n, range(n + 1), HALF) for n in range(7)]
+    cases += [(64, (0, 1, 4, 12, 64), q) for q in (HALF, Fraction(2, 3))]
+    for n, ks, q in cases:
         for n1 in range(n + 1):
-            e = extreme_measure(n, n1, HALF)
-            for k in range(n + 1):
-                assert approx_error(e, k) == extreme_vs_bernoulli_distance(n, n1, k, HALF)
+            e = extreme_measure(n, n1, q)
+            for k in ks:
+                assert approx_error(e, k) == extreme_vs_bernoulli_distance(n, n1, k, q), (n, n1, k, q)
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(3, 7)])
@@ -239,6 +242,19 @@ def test_approx_error_with_coprime_level_mass_denominators(q):
                 assert decompose(m).alpha == tuple(mix.get(i, 0) for i in range(n + 1))
                 for k in range(n + 1):
                     assert approx_error(m, k) == materialised_approx_error(m, k), (n, mix, k)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000)])
+def test_approx_error_with_mass_above_n_minus_k(q):
+    # levels above n - k have low = k - (n - n1) > 0; with level 0 massed too,
+    # the common denominator takes its Pochhammer prefix from level 0 and its
+    # power of b from level n
+    for n in (8, 12, 16):
+        for k in (n - 2, n - 1, n):
+            above = (n - k + 1, (n - k + 1 + n) // 2, n)
+            for levels, weights in ((above, COPRIME_WEIGHTS[1]), ((0, *above[::2]), COPRIME_WEIGHTS[2])):
+                m = convex_combination(dict(zip(levels, weights)), n, q)
+                assert approx_error(m, k) == materialised_approx_error(m, k), (n, k, levels)
 
 
 def test_approx_error_with_coprime_level_mass_denominators_at_n64():
