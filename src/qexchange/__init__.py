@@ -30,11 +30,10 @@ _EXPORTS = {
         "project", "project_bernoulli_closed_form", "project_extreme_closed_form", "tv_distance",
     ),
     "definetti": (
-        "DistanceReport", "MixingMeasure", "approx_error", "decompose",
-        "extreme_vs_bernoulli_distance", "mixture",
+        "MixingMeasure", "approx_error", "decompose", "extreme_vs_bernoulli_distance", "mixture",
     ),
     "bounds": (
-        "RateSweepConfig", "RateViolationError", "fit_log_slope", "lower_constant",
+        "DistanceReport", "RateSweepConfig", "RateViolationError", "fit_log_slope", "lower_constant",
         "tech_lemma_lhs_rhs", "upper_constant", "verify_rate",
     ),
 }

@@ -14,8 +14,10 @@ case analysis of the distance terms,
 
 with the geometric prefix sums ``G(m) = sum_{i<m} q^-i``, so
 ``D(n, n1, k) <= upper_constant(k, q) * q^n`` uniformly in ``n1``.  The
-prefix sums are formed once, in integers, so the constant costs ``O(k)``
-integer operations and one ``Fraction``.
+prefix sums are formed once, in integers, and the levels ``k1`` and
+``k - k1``, which share their weight and power of ``q``, are summed as a pair
+by Horner's rule over ``k1 = 0..k//2``, so no term is padded to the largest
+power: ``O(k)`` integer operations and one ``Fraction``.
 
 ``lower_constant(k, q) = (1-q)^(k-1) (q^(1-k) - q)`` bounds the distance from
 below, ``D >= lower_constant * q^n``, whenever ``n1 >= k``; it comes from the
@@ -34,7 +36,35 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .qcore import _Record, check_q, q_binomial_numerator, q_pochhammer
-from .definetti import DistanceReport, extreme_vs_bernoulli_distance
+from .definetti import extreme_vs_bernoulli_distance
+
+
+class DistanceReport(_Record):
+    """One grid point of a rate sweep: the distance and its two bounds.
+
+    ``upper`` is ``upper_constant(k, q) * q^n``; ``lower`` is
+    ``lower_constant(k, q) * q^n`` and is only attached when ``n1 >= k >= 1``,
+    the regime where the lower bound is proved.  ``bounds_ok`` is the
+    inequality pair itself; sweep drivers assert it rather than tolerate it.
+    """
+
+    n: int
+    k: int
+    n1: int
+    q: Fraction
+    distance: Fraction
+    upper: Fraction
+    lower: Fraction | None = None
+
+    @property
+    def bounds_ok(self) -> bool:
+        if self.distance > self.upper:
+            return False
+        return self.lower is None or self.lower <= self.distance
+
+    @property
+    def dist_over_qn(self) -> Fraction:
+        return self.distance / self.q**self.n
 
 
 class RateViolationError(Exception):
@@ -68,13 +98,19 @@ def upper_constant(k: int, q: Fraction) -> Fraction:
     g = [0]
     for m in range(k):
         g.append(g[-1] * a + b**m)
-    top = (k // 2) * (k - k // 2)  # the largest c
-    total = 0
-    for k1 in range(k + 1):
-        c = k1 * (k - k1)
-        level = max(g[k] * a**c, b**c * g[k - k1] * a**k1)
-        total += q_binomial_numerator(k, k1, q) * level * (a * b) ** (top - c)
-    return Fraction(total * b**k, (a * b) ** top * a ** (k - 1) * (b - a) ** k)
+    # Levels k1 and k - k1 share c and N(k, k1), and c rises with k1 up to
+    # k // 2: Horner's rule multiplies the sum by (ab)^d as c rises by d, so
+    # it ends over (ab)^c for the largest c and no term is padded to it.
+    total, c, a_c, b_c = 0, 0, 1, 1
+    for k1 in range(k // 2 + 1):
+        d = k1 * (k - k1) - c
+        a_d, b_d = a**d, b**d
+        total *= a_d * b_d
+        c, a_c, b_c = c + d, a_c * a_d, b_c * b_d
+        whole = g[k] * a_c
+        level = sum(max(whole, b_c * g[k - j] * a**j) for j in {k1, k - k1})
+        total += q_binomial_numerator(k, k1, q) * level
+    return Fraction(total * b**k, (a * b) ** c * a ** (k - 1) * (b - a) ** k)
 
 
 def lower_constant(k: int, q: Fraction) -> Fraction:
@@ -102,19 +138,18 @@ def tech_lemma_lhs_rhs(n: int, k: int, q: Fraction) -> tuple[Fraction, Fraction]
 
 
 class RateSweepConfig(_Record):
-    """Grid description for a rate sweep.
+    """Grid description for a rate sweep: one source level ``n1`` for each n
+    in ``n_start..n_end``.
 
-    ``n1_rule`` selects the source level for each n: ``"equal"`` uses n
-    itself, ``"half"`` uses ``n // 2`` and ``"fixed"`` uses ``n1_fixed`` for
-    every n.
+    ``n1_rule`` picks it: ``"equal"`` takes n itself, ``"half"`` takes
+    ``n // 2``, and an int level in ``0..n_start`` is taken for every n.
     """
 
     q: Fraction
     k: int
     n_start: int
     n_end: int
-    n1_rule: str = "equal"
-    n1_fixed: int | None = None
+    n1_rule: str | int = "equal"
 
     def __post_init__(self) -> None:
         check_q(self.q)
@@ -124,37 +159,34 @@ class RateSweepConfig(_Record):
             raise ValueError(f"empty n range {self.n_start}..{self.n_end}")
         if self.n_start < self.k:
             raise ValueError(f"n range must start at k = {self.k} or above, got {self.n_start}")
-        if self.n1_rule == "fixed":
-            if self.n1_fixed is None or not 0 <= self.n1_fixed <= self.n_start:
-                raise ValueError(f"fixed n1 must lie in 0..{self.n_start}, got {self.n1_fixed}")
-        elif self.n1_rule not in ("equal", "half"):
-            raise ValueError(f"unknown n1 rule {self.n1_rule!r}")
-
-    def n1_values(self, n: int) -> tuple[int, ...]:
-        if self.n1_rule == "equal":
-            return (n,)
-        if self.n1_rule == "half":
-            return (n // 2,)
-        return (self.n1_fixed,)
+        rule = self.n1_rule
+        if type(rule) is int:  # not a bool
+            if not 0 <= rule <= self.n_start:
+                raise ValueError(f"n1 level must lie in 0..{self.n_start}, got {rule}")
+        elif rule not in ("equal", "half"):
+            raise ValueError(
+                f"unknown n1 rule {rule!r}; expected 'equal', 'half' or a level in 0..{self.n_start}"
+            )
 
     def grid(self) -> list[tuple[int, int]]:
+        """The points ``(n, n1)`` in increasing n."""
+        rule = self.n1_rule
         return [
-            (n, n1)
+            (n, rule if type(rule) is int else n if rule == "equal" else n // 2)
             for n in range(self.n_start, self.n_end + 1)
-            for n1 in self.n1_values(n)
         ]
 
 
 def verify_rate(cfg: RateSweepConfig) -> list[DistanceReport]:
     """Compute a report per grid point and assert both bounds on each.
 
-    Reports come back sorted by ``(n, n1)``.  The first bound failure in that
-    order raises :class:`RateViolationError`.
+    Reports come back in grid order, increasing n.  The first bound failure
+    in that order raises :class:`RateViolationError`.
     """
     upper_c = upper_constant(cfg.k, cfg.q)
     lower_c = lower_constant(cfg.k, cfg.q) if cfg.k >= 1 else None
     reports = []
-    for n, n1 in sorted(cfg.grid()):
+    for n, n1 in cfg.grid():
         q_n = cfg.q**n
         reports.append(DistanceReport(
             n=n, k=cfg.k, n1=n1, q=cfg.q,

@@ -56,15 +56,15 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return start, end
 
 
-def _parse_n1_rule(text: str) -> tuple[str, int | None]:
-    if text in ("half", "equal"):
-        return text, None
-    if text.startswith("fixed:"):
-        tail = text[len("fixed:"):]
-        if not (tail.isascii() and tail.isdigit()):
-            raise _UsageError(f"fixed n1 rule needs an integer, got {text!r}")
-        return "fixed", int(tail)
-    raise _UsageError(f"unknown n1 rule {text!r}; expected half, equal, or fixed:<v>")
+def _parse_n1_rule(text: str) -> str | int:
+    """``fixed:<v>`` as the level ``v``; any other text is a rule name, which
+    ``RateSweepConfig`` checks."""
+    if not text.startswith("fixed:"):
+        return text
+    tail = text[len("fixed:"):]
+    if not (tail.isascii() and tail.isdigit()):
+        raise _UsageError(f"fixed n1 rule needs an integer, got {text!r}")
+    return int(tail)
 
 
 def _emit(text: str, path: str | None = None, stream: str = "stdout") -> None:
@@ -140,17 +140,22 @@ def cmd_qbinom(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_sweep(q: Fraction, k: int, n_start: int, n_end: int, n1_rule: str | int):
+    """The sweep's reports and its violating report (``None`` if every bound
+    held); a grid that ``RateSweepConfig`` rejects is an input error."""
+    try:
+        cfg = bounds.RateSweepConfig(q, k, n_start, n_end, n1_rule)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    try:
+        return bounds.verify_rate(cfg), None
+    except bounds.RateViolationError as exc:
+        return exc.reports, exc.report
+
+
 def cmd_distance(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
-    if not (0 <= args.k <= args.n and 0 <= args.n1 <= args.n):
-        raise _UsageError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={args.n}, n1={args.n1}, k={args.k}")
-    cfg = bounds.RateSweepConfig(
-        q=q, k=args.k, n_start=args.n, n_end=args.n, n1_rule="fixed", n1_fixed=args.n1
-    )
-    try:
-        (report,) = bounds.verify_rate(cfg)
-    except bounds.RateViolationError as exc:
-        report = exc.report
+    (report,), _ = _run_sweep(q, args.k, args.n, args.n, args.n1)  # a one-point sweep
     with _exact_digits():
         if report.lower is None:
             lower = "n/a (requires n1 >= k >= 1)"
@@ -166,19 +171,19 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0 if report.bounds_ok else 1
 
 
-def _report_row(r: definetti.DistanceReport) -> str:
+def _report_row(r: bounds.DistanceReport) -> str:
     values = [getattr(r, column) for column in _COLUMNS]
     exact = [str(v) for v in values[:4]]  # n, k, n1 and q; the rest are display floats
     return ",".join(exact + ["" if v is None else _fmt_float(v) for v in values[4:]])
 
 
-def _report_record(r: definetti.DistanceReport) -> dict:
+def _report_record(r: bounds.DistanceReport) -> dict:
     record = {column: getattr(r, column) for column in _COLUMNS}
     # ints stay ints and a missing lower is null; each Fraction is an exact string
     return {c: v if v is None or type(v) is int else str(v) for c, v in record.items()}
 
 
-def _render_sweep(reports, fmt: str, violation: definetti.DistanceReport | None) -> str:
+def _render_sweep(reports, fmt: str, violation: bounds.DistanceReport | None) -> str:
     if fmt == "json":
         import json
         return json.dumps([_report_record(r) for r in reports], indent=2) + "\n"
@@ -202,21 +207,7 @@ def _render_sweep(reports, fmt: str, violation: definetti.DistanceReport | None)
 def cmd_sweep(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     n_start, n_end = _parse_n_range(args.n)
-    rule, fixed = _parse_n1_rule(args.n1)
-    try:
-        cfg = bounds.RateSweepConfig(
-            q=q, k=args.k, n_start=n_start, n_end=n_end, n1_rule=rule, n1_fixed=fixed
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-    violation = None
-    try:
-        reports = bounds.verify_rate(cfg)
-    except bounds.RateViolationError as exc:
-        reports = exc.reports
-        violation = exc.report
-
+    reports, violation = _run_sweep(q, args.k, n_start, n_end, _parse_n1_rule(args.n1))
     with _exact_digits():
         _emit(_render_sweep(reports, args.format, violation), args.out)
 
@@ -292,7 +283,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         status = "OK" if r.ok else "FAIL"
         lines.append(f"{r.name.ljust(width)}  {r.checks:7d} checks  {status}")
         if not r.ok:
-            lines.append(f"  first counterexample: {r.failures[0]}")
+            lines.append(f"  first counterexample: {r.failure}")
     total = sum(r.checks for r in results)
     ok = all(r.ok for r in results)
     lines.append(f"{'ALL OK' if ok else 'FAILED'} ({total} checks)")
@@ -338,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", required=True, help="inclusive range START..END (or a single value)")
-    p.add_argument("--n1", default="equal", help="half | equal | fixed:<v>")
+    p.add_argument("--n1", default=bounds.RateSweepConfig.n1_rule, help="half | equal | fixed:<v>")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--fit-slope", action="store_true", help="print ln-distance slope to stderr")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qcore import _Record, check_q, q_binomial_numerator
+from .qcore import check_q, q_binomial_numerator
 from .measures import QExchMeasure, _check_total_mass, _LevelRecord, q_bernoulli
 
 
@@ -46,34 +46,6 @@ class MixingMeasure(_LevelRecord):
 
     def __post_init__(self) -> None:
         _check_total_mass(sum(self._check_levels()), "mixing measure")
-
-
-class DistanceReport(_Record):
-    """One grid point of a rate sweep: the distance and its two bounds.
-
-    ``upper`` is ``upper_constant(k, q) * q^n``; ``lower`` is
-    ``lower_constant(k, q) * q^n`` and is only attached when ``n1 >= k >= 1``,
-    the regime where the lower bound is proved.  ``bounds_ok`` is the
-    inequality pair itself; sweep drivers assert it rather than tolerate it.
-    """
-
-    n: int
-    k: int
-    n1: int
-    q: Fraction
-    distance: Fraction
-    upper: Fraction
-    lower: Fraction | None = None
-
-    @property
-    def bounds_ok(self) -> bool:
-        if self.distance > self.upper:
-            return False
-        return self.lower is None or self.lower <= self.distance
-
-    @property
-    def dist_over_qn(self) -> Fraction:
-        return self.distance / self.q**self.n
 
 
 def decompose(m: QExchMeasure) -> MixingMeasure:

@@ -25,33 +25,28 @@ DECOMPOSITION_SEEDS = 5
 Checks = Iterator[tuple[bool, Callable[[], str]]]
 
 
-class SuiteResult:
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.checks = 0
-        self.failures: list[str] = []
+class SuiteResult(qcore._Record):
+    """The checks a suite ran, up to and including its first failing one, and
+    that check's description (``None`` if every check held)."""
+
+    name: str
+    checks: int
+    failure: str | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.failures
-
-    def require(self, condition: bool, describe: Callable[[], str]) -> bool:
-        """Count one check; record the counterexample on failure."""
-        self.checks += 1
-        if not condition and not self.failures:
-            self.failures.append(describe())
-        return condition
+        return self.failure is None
 
 
 def _first_failure(name: str, checks: Checks) -> SuiteResult:
-    """Require each check before the generator resumes, so that ``describe``
-    reads the loop variables of its own check; stop at the first failure."""
-    result = SuiteResult(name)
-    for condition, describe in checks:
-        result.require(condition, describe)
-        if not result.ok:
-            break
-    return result
+    """Count the checks in order and stop at the first failing one, whose
+    ``describe`` runs before the generator resumes, so that it reads the loop
+    variables of its own check."""
+    count = 0
+    for count, (condition, describe) in enumerate(checks, 1):
+        if not condition:
+            return SuiteResult(name, count, describe())
+    return SuiteResult(name, count)
 
 
 def suite_qbinom(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:

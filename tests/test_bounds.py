@@ -132,11 +132,10 @@ def test_tech_lemma_preconditions():
 # ---------------------------------------------------------------------------
 
 def test_config_rules():
-    cfg = RateSweepConfig(q=HALF, k=2, n_start=2, n_end=6, n1_rule="half")
-    assert cfg.n1_values(5) == (2,)
-    assert RateSweepConfig(q=HALF, k=1, n_start=1, n_end=3).n1_values(3) == (3,)
-    fixed = RateSweepConfig(q=HALF, k=1, n_start=2, n_end=5, n1_rule="fixed", n1_fixed=2)
-    assert fixed.n1_values(4) == (2,)
+    # an int rule is one level for every n, from 0 up to n_start
+    for rule, n1s in [("equal", [2, 3, 4, 5]), ("half", [1, 1, 2, 2]), (0, [0] * 4), (2, [2] * 4)]:
+        cfg = RateSweepConfig(q=HALF, k=1, n_start=2, n_end=5, n1_rule=rule)
+        assert cfg.grid() == list(zip(range(2, 6), n1s)), rule
 
 
 @pytest.mark.parametrize(
@@ -144,11 +143,14 @@ def test_config_rules():
     [
         dict(q=HALF, k=1, n_start=5, n_end=3),
         dict(q=HALF, k=3, n_start=2, n_end=6),
-        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="fixed", n1_fixed=3),
+        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule=3),  # a level past n_start
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="fixed"),
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="list"),
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="nope"),
         dict(q=Fraction(3, 2), k=1, n_start=2, n_end=6),
+        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule=-1),
+        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule=True),  # a bool is not a level
+        dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="2"),
     ],
 )
 def test_config_rejects_bad_input(kwargs):
@@ -175,9 +177,8 @@ def test_verify_rate_half_rule_lower_bound_presence():
 
 
 def test_verify_rate_zero_level_rows():
-    reports = verify_rate(
-        RateSweepConfig(q=HALF, k=2, n_start=2, n_end=8, n1_rule="fixed", n1_fixed=0)
-    )
+    reports = verify_rate(RateSweepConfig(q=HALF, k=2, n_start=2, n_end=8, n1_rule=0))
+    assert [(r.n, r.n1) for r in reports] == [(n, 0) for n in range(2, 9)]
     for r in reports:
         assert r.distance == 0
         assert r.lower is None

@@ -498,14 +498,21 @@ def test_verify_all_bad_q(capsys):
 
 
 def test_suite_result_counts_and_keeps_the_first_failure():
-    from qexchange.verify import SuiteResult
+    from qexchange.verify import SuiteResult, _first_failure
 
-    result = SuiteResult("suite")
-    assert result.require(True, lambda: pytest.fail("described a passing check"))
-    assert result.ok
-    assert not result.require(False, lambda: "first")
-    assert not result.require(False, lambda: "second")
-    assert (result.name, result.checks, result.failures, result.ok) == ("suite", 3, ["first"], False)
+    resumed = []
+
+    def failing():
+        yield True, lambda: pytest.fail("described a passing check")
+        yield False, lambda: "first"
+        resumed.append(True)
+        yield False, lambda: pytest.fail("described a later check")
+
+    result = _first_failure("suite", failing())
+    assert result == SuiteResult("suite", 2, "first")  # the failing check is counted
+    assert not result.ok and not resumed
+    passing = _first_failure("suite", iter([(True, lambda: pytest.fail("described a pass"))] * 3))
+    assert passing == SuiteResult("suite", 3) and passing.ok and passing.failure is None
 
 
 def test_exact_outputs_keep_their_digests(tmp_path, capsys):
@@ -516,6 +523,7 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
     assert run_cli(capsys, "random-measure", "--n", "180", "--q", "2/3", "--seed", "1", "--out", large)[0] == 0
     top = tmp_path / "e200.json"  # extreme(200, 200): one level, low = k = 200
     top.write_text(json.dumps({"n": 200, "q": "2/3", "base": ["0"] * 200 + ["1"]}))
+    rule_sweep = ["sweep", "--q", "1/2", "--k", "2", "--n", "2..40"]
     cases = [
         (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
          "d07e0e5534e774ead2b09cbb1126464cd05dde62e219a3626baa0c58101bf624"),
@@ -533,6 +541,14 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
          "43c38ce4112bfa3fbe776808b282410069ae1ffbdc943840c80024b2644f7bdc"),
         (["distance", "--n", "200", "--n1", "200", "--k", "200", "--q", "2/3"],
          "de85fadbdf1c5c29b72c01c7097503a5dbd6bdf2257f06fbebb9e075a07bb03f"),
+        # each n1 rule, and the level rule in every format
+        (rule_sweep + ["--n1", "equal"], "8290ac9bf1288c901ae97ac27b35b3743f1d4bf89f1dd5937f906a6036f68565"),
+        (rule_sweep + ["--n1", "half"], "bbe926648a714079d629d754905f6a2ee0f6513060d9879741bcf73e9f301337"),
+        (rule_sweep + ["--n1", "fixed:1"], "0ddd3d830ee5a388dbfafdd4fafddd2c8f1fad77795d8970271f6298df0d0a60"),
+        (rule_sweep + ["--n1", "fixed:1", "--format", "json"],
+         "a763fbe07409845ff141dbbcbbc3836ac97bb4a838ca31b6821330dc3f62d438"),
+        (rule_sweep + ["--n1", "fixed:1", "--format", "table"],
+         "1b861529e889b0cac08cb0310490061b376e4fe7366d97ea4eed37a034273efa"),
     ]
     for argv, digest in cases:
         code, out, _ = run_cli(capsys, *argv)

@@ -389,9 +389,8 @@ RECORDS = [
     ),
     (
         RateSweepConfig,
-        {"q": HALF, "k": 2, "n_start": 3, "n_end": 5, "n1_rule": "equal", "n1_fixed": None},
-        "RateSweepConfig(q=Fraction(1, 2), k=2, n_start=3, n_end=5, n1_rule='equal', "
-        "n1_fixed=None)",
+        {"q": HALF, "k": 2, "n_start": 3, "n_end": 5, "n1_rule": 3},
+        "RateSweepConfig(q=Fraction(1, 2), k=2, n_start=3, n_end=5, n1_rule=3)",
     ),
 ]
 
@@ -426,9 +425,9 @@ def test_record_defaults():
     assert report.lower is None
     assert report == DistanceReport(2, 1, 1, HALF, F(1, 3), F(1), None)
     cfg = RateSweepConfig(HALF, 2, 3, 5)
-    assert (cfg.n1_rule, cfg.n1_fixed) == ("equal", None)
-    assert cfg == RateSweepConfig(q=HALF, k=2, n_start=3, n_end=5, n1_rule="equal", n1_fixed=None)
-    assert RateSweepConfig(HALF, 2, 3, 5, "fixed", 1).n1_fixed == 1
+    assert cfg.n1_rule == "equal"
+    assert cfg == RateSweepConfig(q=HALF, k=2, n_start=3, n_end=5, n1_rule="equal")
+    assert RateSweepConfig(HALF, 2, 3, 5, 1).n1_rule == 1
 
 
 def test_record_validates_keyword_construction():
