@@ -22,7 +22,9 @@ The binomial ratio is a ratio of q-Pochhammer products,
         = (q^n1; 1/q)_k1 (q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k,
 
 so every level term is built from ``O(k)`` factors and no size-n Gaussian
-binomial is read.
+binomial is read.  Where ``k - k1 > n - n1`` the product
+``(q^(n-n1); 1/q)_(k-k1)`` has the factor ``1 - q^0 = 0``, so one term formula
+serves every level, over the shared ``(q^n; 1/q)_k``.
 """
 
 from __future__ import annotations
@@ -85,36 +87,30 @@ class _LevelKernel:
     Pochhammer-ratio identity (module docstring) is an integer over a power of
     ``b``: ``P_j / b^(sum of its exponents)`` for ``(q^n1; 1/q)_j`` with
     ``P_j = F_n1 ... F_(n1-j+1)``, likewise ``R_j`` for ``(q^(n-n1); 1/q)_j``
-    and ``Q_j`` for ``(q^n; 1/q)_j``.  ``R_(k-k1)`` is zero below level
-    ``low = max(0, k - (n - n1))``, where the extreme measure puts no mass, and
-    the first ``low`` factors of ``P`` are the last of ``Q_k``:
-    ``Q_k = Q_(k-low) P_low``.  With ``N(k, k1)`` the numerator of
+    and ``Q_j`` for ``(q^n; 1/q)_j``.  With ``N(k, k1)`` the numerator of
     ``[k, k1]_q``, ``e = (n1 - k1)(k - k1)``, ``sQ`` and ``sR`` the exponents
     of ``b`` under ``Q_k`` and ``R_(k-k1)``, level ``k1 <= n1`` is (the others
     vanish)
 
-        N(k, k1) a^e (P_k1 / P_low) (R_(k-k1) b^(sQ - sR) - Q_k) / (Q_(k-low) b^t)   for k1 >= low,
-        -N(k, k1) a^e P_k1 / b^t                                                      for k1 < low,
+        N(k, k1) a^e P_k1 (R_(k-k1) b^(sQ - sR) - Q_k) / (Q_k b^t),
 
-    with ``t = n1 k - k1 (k1 - 1) / 2``.  ``low`` grows with ``n1``, so the
-    ``Q_(k-low)`` of every level divides that of ``bottom``, and
-    ``Q_(k-low(bottom)) b^(top k)`` is a common denominator of all the levels.
+    with ``t = n1 k - k1 (k1 - 1) / 2``, so ``Q_k b^(top k)`` is a common
+    denominator of all the levels.  Where the extreme measure puts no mass,
+    ``k - k1 > n - n1``, the product ``R_(k-k1)`` meets ``F_0 = 0``.
 
     The set-up runs once: the row ``N(k, .)``, the factors ``F_j`` the levels
-    read, ``Q_k`` and the cofactors ``Q_(k-low(bottom)) / Q_(k-low)``.
-    :meth:`gaps` then runs once per level, and keeps the ``low`` cancellation:
-    a level near the top multiplies by ``P_k1 / P_low``, not by ``P_k1``.
+    read and ``Q_k``.  :meth:`gaps` then runs once per level.
     """
 
-    __slots__ = ("n", "k", "a", "b", "top", "binoms", "factors", "cofactors", "whole", "s_whole", "denominator")
+    __slots__ = ("n", "k", "a", "b", "top", "binoms", "factors", "whole", "s_whole", "denominator")
 
     def __init__(self, n: int, k: int, q: Fraction, bottom: int, top: int) -> None:
         a, b = q.numerator, q.denominator
         self.n, self.k, self.a, self.b, self.top = n, k, a, b, top
         self.binoms = [q_binomial_numerator(k, k1, q) for k1 in range(k + 1)]
         # F_j for the j that P (levels bottom..top), R and Q_k read, so that one
-        # level costs O(k) factors, not O(n); 0 elsewhere, where only the last,
-        # unused update of a step's running product reads
+        # level costs O(k) factors, not O(n); 0 elsewhere, where only products
+        # that are already 0 or the last, unused update of a running product read
         self.factors = factors = [0] * (n + 1)
         for j in {
             *range(max(bottom - k, 0) + 1, top + 1),
@@ -122,36 +118,27 @@ class _LevelKernel:
             *range(n - k + 1, n + 1),
         }:
             factors[j] = b**j - a**j
-        # cofactors[j] = Q_c / Q_j for c = k - low(bottom), built from Q_c's last factor down
-        c = k - self._low(bottom)
-        self.cofactors = cofactors = [1] * (c + 1)
-        for j in range(c - 1, -1, -1):
-            cofactors[j] = cofactors[j + 1] * factors[n - j]
-        self.whole = math.prod((factors[n - j] for j in range(c, k)), start=cofactors[0])
+        self.whole = math.prod(factors[n - j] for j in range(k))  # Q_k
         self.s_whole = n * k - k * (k - 1) // 2  # sQ
-        self.denominator = cofactors[0] * b ** (top * k)
-
-    def _low(self, n1: int) -> int:
-        return max(0, self.k - (self.n - n1))
+        self.denominator = self.whole * b ** (top * k)
 
     def gaps(self, n1: int) -> list[int]:
         """Level terms ``g[k1]``, ``k1 = 0..min(k, n1)``, of level ``n1`` over
         :attr:`denominator`."""
         n, k, a, b, factors, binoms = self.n, self.k, self.a, self.b, self.factors, self.binoms
-        low, high, m = self._low(n1), min(k, n1), n - n1
-        # R_j b^(sQ - sR_j) for j = k-high..k-low, R_j = F_m F_(m-1) ... F_(m-j+1)
+        high, m = min(k, n1), n - n1
+        # R_j b^(sQ - sR_j) for j = k-high..k, R_j = F_m F_(m-1) ... F_(m-j+1);
+        # no power of b is built for the R_j past j = m, which meet F_0 = 0
         rest = math.prod(factors[m - i] for i in range(k - high))
         rests = []
-        for j in range(k - high, k - low + 1):
-            rests.append(rest * b ** (self.s_whole - j * m + j * (j - 1) // 2))
+        for j in range(k - high, k + 1):
+            rests.append(rest and rest * b ** (self.s_whole - j * m + j * (j - 1) // 2))
             rest *= factors[m - j]
         shift = (self.top - n1) * k
         out = []
-        poch = -self.cofactors[0]  # -Q_(k-low(bottom)) P_k1, then the cofactor times P_k1 / P_low
+        poch = 1  # P_k1
         for k1 in range(high + 1):
-            if k1 == low:
-                poch = self.cofactors[k - low]
-            x = poch if k1 < low else poch * (rests[high - k1] - self.whole)
+            x = poch * (rests[high - k1] - self.whole)
             out.append(binoms[k1] * a ** ((n1 - k1) * (k - k1)) * b ** (shift + k1 * (k1 - 1) // 2) * x)
             poch *= factors[n1 - k1]
         return out

@@ -4,10 +4,10 @@ All arithmetic is exact: scalars are ``fractions.Fraction`` end to end, so
 every identity in the library can be asserted with ``==`` and no tolerance.
 A ``float`` deformation parameter is rejected, not coerced.  Gaussian
 binomials are kept as integer numerators over powers of the denominator of
-``q``, in a store of at most a few half rows over all ``q``: each row is
-built on its own by the ratio recurrence, so memory stays bounded however
-large ``n`` is and however many ``q`` are read.  A ``Fraction`` is built only
-when an entry is read.
+``q``, in a store of at most a few row prefixes over all ``q``: each row is
+built on its own by the ratio recurrence, and only up to the entry read, so
+memory stays bounded by what is read however large ``n`` is and however many
+``q`` are read.  A ``Fraction`` is built only when an entry is read.
 
 Words are binary sequences packed little-endian into a Python int: bit ``i``
 of ``packed`` holds sequence position ``i + 1``.  This makes the level
@@ -229,22 +229,21 @@ def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-# Gaussian-binomial half rows, keyed by ``(a, b, n)`` with ``q = a/b`` in
+# Gaussian-binomial row prefixes, keyed by ``(a, b, n)`` with ``q = a/b`` in
 # lowest terms.  Row ``n`` holds the integer numerators ``N(n, k)`` of
-# ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..n//2`` only, since
-# ``N(n, k) = N(n, n-k)``.  A row is built on its own by the ratio recurrence
+# ``[n, k]_q = N / b^(k(n-k))`` for ``k = 0..j`` only, with ``j`` the largest
+# ``min(k, n-k)`` read so far, since ``N(n, k) = N(n, n-k)``.  A read extends
+# the prefix by the ratio recurrence
 # ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``, whose
-# division is exact.  The cache holds at most 8 rows over all ``q``, the least
-# recently read evicted first, so memory stays bounded at any n and any number
-# of ``q``.
+# division is exact, so an entry never depends on which reads came before.
+# The cache holds at most 8 rows over all ``q``, the least recently read
+# evicted first, so memory stays bounded by what is read, at any n and any
+# number of ``q``.
 @lru_cache(maxsize=8)
-def _qbinom_row(a: int, b: int, n: int) -> tuple[int, ...]:
+def _qbinom_row(a: int, b: int, n: int) -> list[int]:
     if not 0 < a < b:
         raise ValueError(f"q must satisfy 0 < q < 1, got {Fraction(a, b)}")
-    row = [1]
-    for k in range(n // 2):
-        row.append(row[k] * (b ** (n - k) - a ** (n - k)) // (b ** (k + 1) - a ** (k + 1)))
-    return tuple(row)  # every reader shares the cached row, so it is immutable
+    return [1]
 
 
 def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
@@ -252,7 +251,11 @@ def q_binomial_numerator(n: int, k: int, q: Fraction) -> int:
     lowest terms: the stored entry itself, with no Fraction built."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _qbinom_row(*_fraction_parts(q), n)[min(k, n - k)]
+    a, b = _fraction_parts(q)
+    row, k = _qbinom_row(a, b, n), min(k, n - k)
+    for j in range(len(row) - 1, k):
+        row.append(row[j] * (b ** (n - j) - a ** (n - j)) // (b ** (j + 1) - a ** (j + 1)))
+    return row[k]
 
 
 def q_binomial(n: int, k: int, q: Fraction) -> Fraction:

@@ -269,6 +269,8 @@ def test_ratio_and_pascal_rows_agree(cold_cache, n, q):
     # N(n, k) = b^(n-k) N(n-1, k-1) + a^k N(n-1, k) on the integer numerators
     # of row n - 1, and both against the product formula
     a, b = q.numerator, q.denominator
+    for row in (n, n - 1):  # one read of the middle entry fills the half row
+        q_binomial_numerator(row, row // 2, q)
     ratio = list(cold_cache(a, b, n))
     previous = cold_cache(a, b, n - 1)
     full_previous = list(previous) + list(reversed(previous[: n - len(previous)]))  # symmetry
@@ -314,26 +316,37 @@ def test_one_cold_read_builds_one_row(cold_cache):
     q = Fraction(2, 3)
     assert q_binomial(400, 2, q) == (1 - q**400) * (1 - q**399) / ((1 - q) * (1 - q**2))
     assert cold_cache.cache_info().currsize == 1
-    assert len(cold_cache(2, 3, 400)) == 400 // 2 + 1
+    assert len(cold_cache(2, 3, 400)) == 3  # the prefix N(400, 0..2), not the half row
     assert cold_cache.cache_info().hits == 1
+    # a read further along extends the same row up to the entry read, no further
+    q_binomial_numerator(400, 398, q)
+    assert len(cold_cache(2, 3, 400)) == 3
+    q_binomial_numerator(400, 250, q)
+    assert len(cold_cache(2, 3, 400)) == 151 and cold_cache.cache_info().currsize == 1
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
 def test_large_row_memory_is_bounded():
-    # every row up to n = 400 held at once takes about 240 MB
+    # every row up to n = 400 held at once takes about 240 MB, and the half row
+    # of n = 6000 gigabytes: only the prefix N(n, 0..2) may be built, so the
+    # n = 6000 read runs under a 512 MB address-space cap
     code = (
-        "import io, resource, contextlib\n"
+        "import io, resource, contextlib, sys\n"
+        "n, cap_mb = sys.argv[1:]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (int(cap_mb) << 20, int(cap_mb) << 20))\n"
         "from qexchange.cli import main\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['qbinom', '400', '2', '--q', '2/3']) == 0\n"
+        "    assert main(['qbinom', n, '2', '--q', '2/3']) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 32 * 1024
+    for n, cap_mb in ((400, 1024), (6000, 512)):
+        argv = [sys.executable, "-c", code, str(n), str(cap_mb)]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert result.returncode == 0, (n, result.stderr)
+        assert int(result.stdout) < 4 * 1024, n
 
 
 def test_q_binomial_numerator_errors():
