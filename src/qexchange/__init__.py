@@ -23,14 +23,14 @@ _EXPORTS = {
         "q_binomial", "q_binomial_numerator", "q_factorial", "q_int", "q_pochhammer", "swap_adjacent",
     ),
     "measures": (
-        "MAX_DENSE_N", "DenseMeasure", "MeasureSampler", "QExchMeasure", "evaluate",
+        "MAX_DENSE_N", "DenseMeasure", "MeasureSampler", "MixingMeasure", "QExchMeasure", "evaluate",
         "extreme_measure", "is_q_exchangeable", "q_bernoulli", "random_q_exch", "to_dense",
     ),
     "projection": (
         "project", "project_bernoulli_closed_form", "project_extreme_closed_form", "tv_distance",
     ),
     "definetti": (
-        "MixingMeasure", "approx_error", "decompose", "extreme_vs_bernoulli_distance", "mixture",
+        "approx_error", "decompose", "extreme_vs_bernoulli_distance", "mixture",
     ),
     "bounds": (
         "DistanceReport", "RateSweepConfig", "RateViolationError", "fit_log_slope", "lower_constant",

@@ -158,7 +158,7 @@ class RateSweepConfig(_Record):
         if self.n_start > self.n_end:
             raise ValueError(f"empty n range {self.n_start}..{self.n_end}")
         if self.n_start < self.k:
-            raise ValueError(f"n range must start at k = {self.k} or above, got {self.n_start}")
+            raise ValueError(f"n must be at least k = {self.k}, got {self.n_start}")
         rule = self.n1_rule
         if type(rule) is int:  # not a bool
             if not 0 <= rule <= self.n_start:

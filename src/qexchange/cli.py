@@ -35,16 +35,14 @@ class _UsageError(Exception):
 
 
 def _parse_q(text: str) -> Fraction:
-    if not measures._FRACTION_RE.fullmatch(text):
-        raise _UsageError(f"cannot parse q {text!r}; expected a fraction like 1/2")
     try:
-        return check_q(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        q = measures._scalar_from_json(text)
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse q: {exc}") from exc
+    try:
+        return check_q(q)
+    except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _parse_q_list(text: str) -> list[Fraction]:
-    return [_parse_q(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -223,9 +221,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     import json
     try:
-        with open(args.measure) as fh:
+        with open(args.measure, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             m = measures.QExchMeasure.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read measure file: {exc}") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -270,7 +268,7 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
     from . import verify  # the suites are not loaded on the sweep's start-up path
-    qs = _parse_q_list(args.q)
+    qs = [_parse_q(part.strip()) for part in args.q.split(",") if part.strip()]
     # the suites tabulate 2^n words, about doubling per n: 12 takes a minute
     if not 0 <= args.max_n <= 12:
         raise _UsageError(f"max-n must be in 0..12, got {args.max_n}")

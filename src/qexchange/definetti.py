@@ -3,9 +3,10 @@
 Every q-exchangeable measure on ``{0,1}^n`` splits uniquely into a convex
 combination of the level-supported extreme measures; the weights are the
 level masses ``alpha_i = base[i] * [n, i]_q``.  Reading those weights as a
-probability measure on the geometric grid ``{q^0, ..., q^n}`` and mixing the
-corresponding q-Bernoulli measures gives the canonical approximation whose
-projection error is the quantity this package certifies.
+probability measure on the geometric grid ``{q^0, ..., q^n}`` (the record
+``measures.MixingMeasure``) and mixing the corresponding q-Bernoulli measures
+gives the canonical approximation whose projection error is the quantity this
+package certifies.
 
 The extreme-vs-Bernoulli distance has a closed form over target levels:
 
@@ -33,21 +34,7 @@ import math
 from fractions import Fraction
 
 from .qcore import check_q, q_binomial_numerator
-from .measures import QExchMeasure, _check_total_mass, _LevelRecord, q_bernoulli
-
-
-class MixingMeasure(_LevelRecord):
-    """Weights ``alpha[i]`` on the grid points ``q^i``, ``i = 0..n``."""
-
-    n: int
-    q: Fraction
-    alpha: tuple[Fraction, ...]
-
-    _key = "alpha"
-    _what = "mixing-measure"
-
-    def __post_init__(self) -> None:
-        _check_total_mass(sum(self._check_levels()), "mixing measure")
+from .measures import MixingMeasure, QExchMeasure, q_bernoulli
 
 
 def decompose(m: QExchMeasure) -> MixingMeasure:

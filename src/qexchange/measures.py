@@ -4,14 +4,15 @@ A q-exchangeable measure changes by the fixed factor ``q^(b_i - b_{i+1})``
 when two adjacent bits are swapped, so it is determined by its values on the
 block words ``1^k 0^(n-k)``.  :class:`QExchMeasure` stores exactly those
 ``n + 1`` base values; everything else is ``q^coinversions * base[ones]``.
+Its level masses ``base[k] * [n, k]_q``, read as weights on the grid
+``{q^0, ..., q^n}``, are its :class:`MixingMeasure` (see ``definetti``).
 :class:`DenseMeasure` is the brute-force counterpart, a full table over all
 ``2^n`` words, used as an oracle and for measures that are not q-exchangeable.
 :class:`MeasureSampler` draws words from a compact measure through its convex
 decomposition: a level by its mass, then a word of that level.
 
-JSON wire format of a measure and of its mixing measure, written by
-``to_json`` and read by the classmethod ``from_json`` (round-trips bit for
-bit):
+JSON wire format of the two level-vector records, written by ``to_json`` and
+read by the classmethod ``from_json`` (round-trips bit for bit):
 
     {"n": 3, "q": "1/2", "base": ["1/7", "0", ...]}
     {"n": 3, "q": "1/2", "alpha": ["1/7", "0", ...]}
@@ -20,7 +21,7 @@ bit):
 every scalar is a fraction string such as ``"1/3"`` or ``"0"``; anything else
 is rejected with ``ValueError``, and so is an integer longer than the
 interpreter's int-to-str digit limit (4300 digits by default).  The CLI reads
-``--q`` with the same grammar.
+``--q`` with the same scalar reader.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def _coerce_entries(values, what: str) -> tuple[Fraction, ...]:
             raise ValueError(f"{what} entries must be nonnegative, got {v}")
         out.append(v)
     return tuple(out)
-
-
-def _times_binomial(x: Fraction, n: int, k: int, q: Fraction) -> Fraction:
-    """``x * [n, k]_q`` through the integer numerator, so the binomial's own
-    Fraction, whose construction is a gcd of two coprime big integers, is
-    never built."""
-    return x * q_binomial_numerator(n, k, q) / q.denominator ** (k * (n - k))
 
 
 def _check_total_mass(total: Fraction, what: str) -> None:
@@ -107,7 +101,9 @@ class _LevelRecord(_Record):
         if not isinstance(record, dict):
             raise ValueError(f"malformed {cls._what} JSON: expected an object")
         try:
-            n = _int_from_json(record["n"])
+            n = record["n"]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"n must be a JSON integer, got {n!r}")
             q = _scalar_from_json(record["q"])
             levels = record[cls._key]
             if not isinstance(levels, list):
@@ -134,13 +130,28 @@ class QExchMeasure(_LevelRecord):
     _what = "measure"
 
     def __post_init__(self) -> None:
-        base = self._check_levels()
-        total = sum(_times_binomial(base[k], self.n, k, self.q) for k in range(self.n + 1))
-        _check_total_mass(total, "measure")
+        self._check_levels()
+        _check_total_mass(sum(map(self.level_mass, range(self.n + 1))), "measure")
 
     def level_mass(self, k: int) -> Fraction:
-        """Total probability of the words with exactly ``k`` ones."""
-        return _times_binomial(self.base[k], self.n, k, self.q)
+        """``base[k] * [n, k]_q``, the mass of the words with ``k`` ones; the
+        binomial's own Fraction, a gcd of two big coprime ints, is never built."""
+        q = self.q
+        return self.base[k] * q_binomial_numerator(self.n, k, q) / q.denominator ** (k * (self.n - k))
+
+
+class MixingMeasure(_LevelRecord):
+    """Weights ``alpha[i]`` on the grid points ``q^i``, ``i = 0..n``."""
+
+    n: int
+    q: Fraction
+    alpha: tuple[Fraction, ...]
+
+    _key = "alpha"
+    _what = "mixing-measure"
+
+    def __post_init__(self) -> None:
+        _check_total_mass(sum(self._check_levels()), "mixing measure")
 
 
 class DenseMeasure(_Record):
@@ -319,7 +330,7 @@ def _scalar_from_json(v) -> Fraction:
     """Parse a fraction string; JSON numbers, decimals and exponents are
     rejected, so a short file cannot ask for a huge power of ten."""
     if not isinstance(v, str) or not _FRACTION_RE.fullmatch(v):
-        raise ValueError(f"scalar must be a fraction string like \"1/3\", got {v!r}")
+        raise ValueError(f"expected a fraction string like \"1/3\", got {v!r}")
     try:
         return Fraction(v)
     except ZeroDivisionError as exc:
@@ -332,9 +343,3 @@ def _too_many_digits() -> str:
     """The interpreter's int digit limit as a reader's error, without Python's
     hint to lift it: a reader keeps the limit."""
     return f"an integer has more than {sys.get_int_max_str_digits()} digits, the limit for reading one"
-
-
-def _int_from_json(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"n must be a JSON integer, got {v!r}")
-    return v

@@ -73,6 +73,11 @@ def test_exact_output_past_the_digit_limit(tmp_path, capsys):
         code, out, err = run_cli(capsys, "decompose", str(path), "--k", "0")
         assert (code, out) == (2, "")
         assert err == f"error: malformed measure {what}: an integer has more than {limit} digits, the limit for reading one\n"
+    for q in (f"{one}/3", f"1/{one}"):  # --q is read by the same reader, without Python's hint
+        code, out, err = run_cli(capsys, "qbinom", "3", "1", "--q", q)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse q: an integer has more than {limit} digits, the limit for reading one\n"
+        assert "set_int_max_str_digits" not in err
     code, out, _ = run_cli(capsys, "distance", "--n", "100", "--n1", "0", "--k", "100", "--q", "9/10")
     assert code == 0 and out.endswith("PASS\n")
 
@@ -139,6 +144,8 @@ def test_distance_usage_error(capsys):
     code, _, err = run_cli(capsys, "distance", "--n", "2", "--n1", "3", "--k", "1", "--q", "1/2")
     assert code == 2
     assert "error" in err
+    code, out, err = run_cli(capsys, "distance", "--n", "3", "--n1", "1", "--k", "5", "--q", "1/2")
+    assert (code, out, err) == (2, "", "error: n must be at least k = 5, got 3\n")
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +370,19 @@ def test_decompose_malformed_json(tmp_path, capsys):
     assert "malformed" in err
 
 
-def test_decompose_missing_file(capsys):
+def test_decompose_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decompose", "/nonexistent/m.json", "--k", "1")
     assert code == 2
+    assert err.startswith("error: cannot read measure file: ")
+    # a file is read as UTF-8, the encoding of JSON, whatever the locale
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, "decompose", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot read measure file: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_random_measure_stdout(capsys):
@@ -447,8 +464,13 @@ SUITE_FAILURES = [  # (module, function, corrupted(real), FAIL line, first count
      "inv+coinv != ones*zeros at word 010"),
     (measures, "to_dense",
      lambda real: lambda m: measures.DenseMeasure(2, real(m).weights[::-1]) if m.n == 2 else real(m),
-     "exchangeability         28 checks  FAIL",
-     "swap rule broken at n=2, k=2, q=1/2, witness=(Word(packed=1, length=2), 1)"),
+     "exchangeability         24 checks  FAIL",
+     "marginal mismatch at n=2, k=1, q=1/2, packed=0: dense=0, compact=1"),
+    # a base read backwards is still a q-exchangeable measure of the same mass
+    (projection, "project",
+     lambda real: lambda m, k: QExchMeasure(k, m.q, real(m, k).base[::-1]) if 0 < k < m.n else real(m, k),
+     "exchangeability         24 checks  FAIL",
+     "marginal mismatch at n=2, k=1, q=1/2, packed=0: dense=1, compact=0"),
     (projection, "project_extreme_closed_form",
      lambda real: lambda n, n1, k, k1, q: real(n, n1, k, k1, q) * (2 if (n, n1) == (3, 1) else 1),
      "projection-oracle       72 checks  FAIL",
