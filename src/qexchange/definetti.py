@@ -13,10 +13,10 @@ The extreme-vs-Bernoulli distance has a closed form over target levels:
     D(n, n1, k) = sum_{k1=0}^{k} [k, k1]_q * q^((n1 - k1)(k - k1))
                   * | [n - k, n1 - k1]_q / [n, n1]_q  -  (q^n1; 1/q)_k1 |
 
-which equals the total variation of the two k-dimensional pushforwards.
-``approx_error`` is the alpha-mix of the same level terms inside the ``|.|``,
-summed in integers over one common denominator fixed before the sum and
-reduced once at the end.
+which equals the total variation of the two k-dimensional pushforwards; its
+first term is the level-``k1`` mass of the projected ``extreme(n, n1)``.  A
+k-projection is the alpha-mix of the extremes' projections, so one integer
+alpha-mix of the level terms serves ``approx_error`` and ``projection.project``.
 The binomial ratio is a ratio of q-Pochhammer products,
 
     [n - k, n1 - k1]_q / [n, n1]_q
@@ -66,8 +66,8 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
 
 
 class _LevelKernel:
-    """Signed level terms of the k-projection of ``extreme(n, n1)`` minus that
-    of the q-Bernoulli measure at ``x = q^n1``, for the levels ``n1`` in
+    """Level masses of the k-projection of ``extreme(n, n1)``, alone or minus
+    those of the q-Bernoulli measure at ``x = q^n1``, for the levels ``n1`` in
     ``bottom..top`` at one ``(n, k, q)``, in integers over one denominator.
 
     With ``q = a/b`` and ``F_j = b^j - a^j``, each product of the
@@ -86,7 +86,7 @@ class _LevelKernel:
     ``k - k1 > n - n1``, the product ``R_(k-k1)`` meets ``F_0 = 0``.
 
     The set-up runs once: the row ``N(k, .)``, the factors ``F_j`` the levels
-    read and ``Q_k``.  :meth:`gaps` then runs once per level.
+    read and ``Q_k``.  :meth:`terms` then runs once per level.
     """
 
     __slots__ = ("n", "k", "a", "b", "top", "binoms", "factors", "whole", "s_whole", "denominator")
@@ -109,10 +109,12 @@ class _LevelKernel:
         self.s_whole = n * k - k * (k - 1) // 2  # sQ
         self.denominator = self.whole * b ** (top * k)
 
-    def gaps(self, n1: int) -> list[int]:
+    def terms(self, n1: int, *, bernoulli: bool) -> list[int]:
         """Level terms ``g[k1]``, ``k1 = 0..min(k, n1)``, of level ``n1`` over
-        :attr:`denominator`."""
+        :attr:`denominator`; without ``bernoulli`` the ``- Q_k`` is left out,
+        which leaves the projected extreme measure's level masses."""
         n, k, a, b, factors, binoms = self.n, self.k, self.a, self.b, self.factors, self.binoms
+        whole = self.whole if bernoulli else 0
         high, m = min(k, n1), n - n1
         # R_j b^(sQ - sR_j) for j = k-high..k, R_j = F_m F_(m-1) ... F_(m-j+1);
         # no power of b is built for the R_j past j = m, which meet F_0 = 0
@@ -125,8 +127,8 @@ class _LevelKernel:
         out = []
         poch = 1  # P_k1
         for k1 in range(high + 1):
-            x = poch * (rests[high - k1] - self.whole)
-            out.append(binoms[k1] * a ** ((n1 - k1) * (k - k1)) * b ** (shift + k1 * (k1 - 1) // 2) * x)
+            x = poch * (rests[high - k1] - whole)
+            out.append(x and binoms[k1] * a ** ((n1 - k1) * (k - k1)) * b ** (shift + k1 * (k1 - 1) // 2) * x)
             poch *= factors[n1 - k1]
         return out
 
@@ -138,19 +140,14 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fract
     if not (0 <= k <= n and 0 <= n1 <= n):
         raise ValueError(f"need 0 <= k <= n and 0 <= n1 <= n, got n={n}, n1={n1}, k={k}")
     kernel = _LevelKernel(n, k, q, n1, n1)
-    return Fraction(sum(map(abs, kernel.gaps(n1))), kernel.denominator)
+    return Fraction(sum(map(abs, kernel.terms(n1, bernoulli=True))), kernel.denominator)
 
 
-def approx_error(m: QExchMeasure, k: int) -> Fraction:
-    """TV distance between the k-projection of ``m`` and the k-projection of
-    its canonical q-Bernoulli mixture, from the level masses alone.
-
-    One :class:`_LevelKernel`, set up for the levels from the lowest to the
-    highest with mass, gives every level's terms ``g_n1[k1]`` over one
-    denominator ``d``.  With ``L`` the lcm of the level-mass denominators,
-    the sum ``sum_n1 alpha_n1 g_n1[k1]`` is a plain int over ``L d``, a
-    denominator fixed before the loop, so only ``k + 1`` ints are held and
-    one ``Fraction`` is built at the end."""
+def _mix(m: QExchMeasure, k: int, *, bernoulli: bool) -> tuple[list[int], int]:
+    """The alpha-mix ``sum_n1 alpha_n1 g_n1[k1]``, ``k1 = 0..k``, of the terms
+    over ``d`` of one :class:`_LevelKernel` for the levels with mass.  With
+    ``L`` the lcm of the level-mass denominators, the sums are ints over
+    ``L d``, fixed before the loop; returns them and ``L d``."""
     if not 0 <= k <= m.n:
         raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
     masses = [(n1, alpha) for n1 in range(m.n + 1) if (alpha := m.level_mass(n1))]
@@ -159,6 +156,13 @@ def approx_error(m: QExchMeasure, k: int) -> Fraction:
     levels = [0] * (k + 1)
     for n1, alpha in masses:
         weight = alpha.numerator * (lcm // alpha.denominator)
-        for k1, g in enumerate(kernel.gaps(n1)):
+        for k1, g in enumerate(kernel.terms(n1, bernoulli=bernoulli)):
             levels[k1] += weight * g
-    return Fraction(sum(map(abs, levels)), lcm * kernel.denominator)
+    return levels, lcm * kernel.denominator
+
+
+def approx_error(m: QExchMeasure, k: int) -> Fraction:
+    """TV distance between the k-projections of ``m`` and of its canonical
+    q-Bernoulli mixture: the level sums of :func:`_mix` in one ``Fraction``."""
+    levels, denominator = _mix(m, k, bernoulli=True)
+    return Fraction(sum(map(abs, levels)), denominator)

@@ -134,10 +134,10 @@ class QExchMeasure(_LevelRecord):
         _check_total_mass(sum(map(self.level_mass, range(self.n + 1))), "measure")
 
     def level_mass(self, k: int) -> Fraction:
-        """``base[k] * [n, k]_q``, the mass of the words with ``k`` ones; the
-        binomial's own Fraction, a gcd of two big coprime ints, is never built."""
-        q = self.q
-        return self.base[k] * q_binomial_numerator(self.n, k, q) / q.denominator ** (k * (self.n - k))
+        """``base[k] * [n, k]_q``, the mass of the words with ``k`` ones; reads
+        the binomial only for a nonzero ``base[k]``, and never builds its Fraction."""
+        base, q = self.base[k], self.q
+        return base and base * q_binomial_numerator(self.n, k, q) / q.denominator ** (k * (self.n - k))
 
 
 class MixingMeasure(_LevelRecord):

@@ -1,14 +1,13 @@
 """Leading-coordinate projections and total-variation distance.
 
 Projecting a q-exchangeable measure onto its first ``k`` coordinates yields a
-q-exchangeable measure again, so the pushforward stays in compact form.  The
-suffix sum collapses to a level-transition weight: a target level ``k1``
-receives mass from each source level ``j`` with weight
-``q^((j - k1)(k - k1)) * [n - k, j - k1]_q``.  The two closed forms give that
-pushforward's block values for an extreme measure and for a q-Bernoulli
-measure; the latter's factor ``(q^n1; 1/q)_k1`` is :func:`q_pochhammer`.
-They differ by one ratio of Pochhammer products, since the binomial ratio in
-the extreme block value is itself a ratio of Pochhammer products:
+q-exchangeable measure again, so the pushforward stays in compact form: the
+mix of the projected extreme measures by the level masses, whose level sums
+:func:`project` takes from the integer level kernel in ``definetti``.  The two
+closed forms give the block values of a projected extreme and q-Bernoulli
+measure; the latter's factor ``(q^n1; 1/q)_k1`` is :func:`q_pochhammer`.  They
+differ by one ratio of Pochhammer products, since the binomial ratio in the
+extreme block value is itself one:
 
     [n - k, n1 - k1]_q / [n, n1]_q
         = (q^n1; 1/q)_k1 (q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k.
@@ -21,28 +20,25 @@ with the same q the sum collapses to the level masses,
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .qcore import check_q, q_binomial, q_pochhammer
+from .qcore import check_q, q_binomial_numerator, q_pochhammer
 from .measures import DenseMeasure, QExchMeasure, to_dense
+from .definetti import _mix
 
 Measure = QExchMeasure | DenseMeasure
 
 
 def project(m: QExchMeasure, k: int) -> QExchMeasure:
-    """Pushforward of ``m`` onto its first ``k`` coordinates."""
-    if not 0 <= k <= m.n:
-        raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
+    """Pushforward of ``m`` onto its first ``k`` coordinates: each level sum of
+    :func:`_mix` (which checks ``k``) divided by ``[k, k1]_q``, in one Fraction."""
     if k == m.n:
         return m
-    base = []
-    for k1 in range(k + 1):
-        acc = Fraction(0)
-        for j in range(k1, k1 + (m.n - k) + 1):
-            if m.base[j] == 0:
-                continue
-            acc += m.q ** ((j - k1) * (k - k1)) * q_binomial(m.n - k, j - k1, m.q) * m.base[j]
-        base.append(acc)
+    levels, d = _mix(m, k, bernoulli=False)
+    b, g = m.q.denominator, math.gcd(d, *levels)  # most of d is common to every level
+    base = [Fraction(x // g * b ** (k1 * (k - k1)), d // g * q_binomial_numerator(k, k1, m.q))
+            for k1, x in enumerate(levels)]
     return QExchMeasure(k, m.q, tuple(base))
 
 

@@ -17,7 +17,6 @@ from qexchange import (
     Word,
     decompose,
     mixture,
-    project,
     to_dense,
     tv_distance,
 )
@@ -72,21 +71,44 @@ def upper_constant_double_sum(k: int, q: Fraction) -> Fraction:
     return total
 
 
+def suffix_sum_project(m: QExchMeasure, k: int) -> QExchMeasure:
+    """Pushforward onto the first ``k`` coordinates by the suffix sum over
+    source levels, in Fractions.
+
+    Target level ``k1`` receives mass from each source level ``j`` with weight
+    ``q^((j - k1)(k - k1)) * [n - k, j - k1]_q``: the suffixes of ``n - k``
+    bits with ``j - k1`` ones, each weighed by its coinversions and those it
+    makes with the prefix.  Row ``n - k`` comes from the product formula, so
+    nothing here shares the library's level kernel or row store.
+    """
+    row = q_binomial_row(m.n - k, m.q)
+    base = []
+    for k1 in range(k + 1):
+        acc = Fraction(0)
+        for j in range(k1, k1 + (m.n - k) + 1):
+            if m.base[j] == 0:
+                continue
+            acc += m.q ** ((j - k1) * (k - k1)) * row[j - k1] * m.base[j]
+        base.append(acc)
+    return QExchMeasure(k, m.q, tuple(base))
+
+
 def materialised_approx_error(m: QExchMeasure, k: int) -> Fraction:
     """The projection error by building the canonical mixture on ``{0,1}^n``.
 
     Mixes ``n + 1`` q-Bernoulli measures by the level masses of ``m``, then
-    projects both measures and sums their TV distance: none of the level-sum
-    algebra that ``approx_error`` evaluates.
+    projects both measures by :func:`suffix_sum_project` and sums their TV
+    distance: none of the level-sum algebra that ``approx_error`` evaluates.
     """
-    return tv_distance(project(m, k), project(mixture(decompose(m), m.n), k))
+    return tv_distance(suffix_sum_project(m, k), suffix_sum_project(mixture(decompose(m), m.n), k))
 
 
 def dense_projection_table(m: QExchMeasure, k: int) -> list:
     """Pushforward onto the first k coordinates by explicit suffix summation.
 
     Tabulates the full measure and folds out trailing coordinates one at a
-    time; independent of the library's level-transition formula.
+    time; independent of the level-sum formulas of the library and of
+    :func:`suffix_sum_project`.
     """
     table = list(to_dense(m).weights)
     dim = m.n

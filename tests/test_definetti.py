@@ -156,20 +156,24 @@ def test_distance_matches_closed_form_level_sum():
 @pytest.mark.parametrize("n", [64, 200])
 def test_level_gaps_against_binomial_ratio(n, q):
     # the Pochhammer-ratio kernel against [n - k, n1 - k1]_q / [n, n1]_q from
-    # product-formula rows, corners (n1 < k1 or n1 - k1 > n - k) included
+    # product-formula rows, corners (n1 < k1 or n1 - k1 > n - k) included, with
+    # the q-Bernoulli term subtracted (the distances) and left out (project)
     whole = q_binomial_row(n, q)
     for k in (0, 1, 4, 12):
         inner, small = q_binomial_row(n - k, q), q_binomial_row(k, q)
         for n1 in sorted({0, 1, k - 1, k, n // 2, n - k, n - k + 1, n - 1, n} & set(range(n + 1))):
             kernel = _LevelKernel(n, k, q, n1, n1)
-            gaps = kernel.gaps(n1)
-            got = [Fraction(g, kernel.denominator) for g in gaps] + [Fraction(0)] * (k + 1 - len(gaps))
-            expected = []
+            extreme, gap = [], []
             for k1 in range(k + 1):
                 ratio = inner[n1 - k1] / whole[n1] if 0 <= n1 - k1 <= n - k else 0
                 bernoulli = math.prod(1 - q ** (n1 - i) for i in range(k1))
-                expected.append(small[k1] * q ** ((n1 - k1) * (k - k1)) * (ratio - bernoulli))
-            assert got == expected
+                weight = small[k1] * q ** ((n1 - k1) * (k - k1))
+                extreme.append(weight * ratio)
+                gap.append(weight * (ratio - bernoulli))
+            for subtract, expected in ((True, gap), (False, extreme)):
+                terms = kernel.terms(n1, bernoulli=subtract)
+                got = [Fraction(g, kernel.denominator) for g in terms] + [Fraction(0)] * (k + 1 - len(terms))
+                assert got == expected, (k, n1, subtract)
 
 
 def test_distance_preconditions():

@@ -12,6 +12,7 @@ from oracles import (
     literal_bernoulli_base,
     pair_statistics,
     q_binomial_row,
+    suffix_sum_project,
     tv_by_subsets,
 )
 
@@ -34,6 +35,17 @@ def test_dense_projection_table_hand_case():
     # projecting the 2-bit extreme level-1 measure onto 1 bit: (1/3, 2/3)
     table = dense_projection_table(extreme_measure(2, 1, Fraction(1, 2)), 1)
     assert table == [Fraction(1, 3), Fraction(2, 3)]
+
+
+def test_suffix_sum_project_against_dense_tables():
+    # the level suffix sum against the dense fold of trailing coordinates
+    q = Fraction(1, 2)
+    assert suffix_sum_project(extreme_measure(2, 1, q), 1).base == (Fraction(1, 3), Fraction(2, 3))
+    for n in range(7):
+        for n1 in range(n + 1):
+            m = extreme_measure(n, n1, q)
+            for k in range(n + 1):
+                assert list(to_dense(suffix_sum_project(m, k)).weights) == dense_projection_table(m, k)
 
 
 def test_tv_by_subsets_hand_case():

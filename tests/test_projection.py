@@ -15,7 +15,7 @@ from qexchange import (
     to_dense,
     tv_distance,
 )
-from oracles import dense_projection_table, tv_by_subsets
+from oracles import dense_projection_table, suffix_sum_project, tv_by_subsets
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -58,6 +58,18 @@ def test_project_bernoulli_is_consistent_family():
                 m = q_bernoulli(n, exponent, q)
                 for k in range(n + 1):
                     assert project(m, k) == q_bernoulli(k, exponent, q)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("n", [40, 150])
+def test_project_matches_level_suffix_sum_past_dense_tables(n, q):
+    # past MAX_DENSE_N no table can check project; the Fraction suffix sum over
+    # source levels can, on random, extreme and q-Bernoulli measures
+    measures = [random_q_exch(n, q, seed) for seed in range(2)]
+    measures += [extreme_measure(n, n1, q) for n1 in (0, n // 3, n)] + [q_bernoulli(n, n // 2, q)]
+    for i, m in enumerate(measures):
+        for k in (0, 1, 4, n - 1):
+            assert project(m, k) == suffix_sum_project(m, k), (i, k)
 
 
 def test_project_composes():

@@ -20,12 +20,15 @@ from qexchange import (
     check_q,
     coinversions,
     enumerate_level,
+    extreme_measure,
     inversions,
+    project,
     q_binomial,
     q_binomial_numerator,
     q_factorial,
     q_int,
     q_pochhammer,
+    random_q_exch,
     swap_adjacent,
     verify_rate,
 )
@@ -323,6 +326,23 @@ def test_one_cold_read_builds_one_row(cold_cache):
     assert len(cold_cache(2, 3, 400)) == 3
     q_binomial_numerator(400, 250, q)
     assert len(cold_cache(2, 3, 400)) == 151 and cold_cache.cache_info().currsize == 1
+
+
+def test_zero_base_values_read_no_binomial(cold_cache):
+    # validating extreme(300, 300) sums 301 level masses; the 300 zero ones
+    # read nothing, so row 300 holds N(300, 0) alone, not the half row
+    m = extreme_measure(300, 300, Fraction(2, 3))
+    assert cold_cache.cache_info().currsize == 1 and len(cold_cache(2, 3, 300)) == 1
+    assert [m.level_mass(i) for i in range(301)] == [Fraction(0)] * 300 + [Fraction(1)]
+
+
+def test_project_reads_no_suffix_row(cold_cache):
+    # the level kernel mixes rows n (the level masses) and k; row n - k, which
+    # a suffix sum over [n - k, j - k1]_q would read, is never built
+    m = random_q_exch(150, Fraction(2, 3), 0)
+    project(m, 4)
+    assert not _is_held(cold_cache, 2, 3, 146)
+    assert _is_held(cold_cache, 2, 3, 150) and _is_held(cold_cache, 2, 3, 4)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
