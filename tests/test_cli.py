@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,6 +456,13 @@ def _tech_lemma_rhs_times_ten_at_n4(real):
     return corrupted
 
 
+def _swap_words_10_and_01_at_n2(real):
+    def corrupted(m):
+        w = real(m).weights
+        return measures.DenseMeasure(2, (w[0], w[2], w[1], w[3])) if m.n == 2 else real(m)
+    return corrupted
+
+
 SUITE_FAILURES = [  # (module, function, corrupted(real), FAIL line, first counterexample)
     (qcore, "q_binomial", lambda real: lambda n, k, q: real(n, k, q) + ((n, k) == (3, 1)),
      "qbinom-identity         33 checks  FAIL",
@@ -466,6 +474,11 @@ SUITE_FAILURES = [  # (module, function, corrupted(real), FAIL line, first count
      lambda real: lambda m: measures.DenseMeasure(2, real(m).weights[::-1]) if m.n == 2 else real(m),
      "exchangeability         24 checks  FAIL",
      "marginal mismatch at n=2, k=1, q=1/2, packed=0: dense=0, compact=1"),
+    # words 10 and 01 of every n = 2 table trade weights: the projections still
+    # match the table at k = n, which breaks the swap rule
+    pytest.param(measures, "to_dense", _swap_words_10_and_01_at_n2,
+                 "exchangeability         26 checks  FAIL",
+                 "swap rule broken at n=2, q=1/2: word 10, position 1", id="to_dense_swap"),
     # a base read backwards is still a q-exchangeable measure of the same mass
     (projection, "project",
      lambda real: lambda m, k: QExchMeasure(k, m.q, real(m, k).base[::-1]) if 0 < k < m.n else real(m, k),
@@ -495,7 +508,8 @@ SUITE_FAILURES = [  # (module, function, corrupted(real), FAIL line, first count
 
 
 @pytest.mark.parametrize(
-    "module,name,corrupted,fail_line,example", SUITE_FAILURES, ids=[case[1] for case in SUITE_FAILURES]
+    "module,name,corrupted,fail_line,example", SUITE_FAILURES,
+    ids=[getattr(case, "id", None) or case[1] for case in SUITE_FAILURES],
 )
 def test_verify_all_names_each_suites_first_counterexample(
     monkeypatch, capsys, module, name, corrupted, fail_line, example
@@ -512,9 +526,11 @@ def test_verify_all_bad_q(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--max-n", "2", "--q", "3/2")
     assert code == 2
     # a size whose suites would run for minutes (13) or days (past the
-    # dense-table limit) is bad input, not a failed check
+    # dense-table limit) is bad input, not a failed check, refused at once
     for max_n in ("13", str(measures.MAX_DENSE_N + 1)):
+        start = time.monotonic()
         code, _, err = run_cli(capsys, "verify-all", "--max-n", max_n, "--q", "1/2")
+        assert time.monotonic() - start < 20
         assert code == 2
         assert err.startswith("error: max-n must be in 0..")
 
@@ -538,23 +554,34 @@ def test_suite_result_counts_and_keeps_the_first_failure():
 
 
 def test_exact_outputs_keep_their_digests(tmp_path, capsys):
-    # the reference outputs of the library, byte for byte
+    # the reference outputs of the library, byte for byte, each within a minute;
+    # the benchmark checks its own runs against the sweep and verify-all digests
+    reference = json.loads((Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text())
+    bench = reference["default"]["sweep-cold"]
+
+    def within_a_minute(run, *args):
+        start = time.monotonic()
+        result = run(*args)
+        assert time.monotonic() - start < 60, args
+        return result
+
     measure = str(tmp_path / "m.json")
-    assert run_cli(capsys, "random-measure", "--n", "64", "--q", "2/3", "--seed", "0", "--out", measure)[0] == 0
     large = str(tmp_path / "m180.json")
-    assert run_cli(capsys, "random-measure", "--n", "180", "--q", "2/3", "--seed", "1", "--out", large)[0] == 0
+    for path, n, seed in ((measure, "64", "0"), (large, "180", "1")):
+        argv = ("random-measure", "--n", n, "--q", "2/3", "--seed", seed, "--out", path)
+        assert within_a_minute(run_cli, capsys, *argv)[0] == 0
     top = tmp_path / "e200.json"  # extreme(200, 200): one level, low = k = 200
     top.write_text(json.dumps({"n": 200, "q": "2/3", "base": ["0"] * 200 + ["1"]}))
     rule_sweep = ["sweep", "--q", "1/2", "--k", "2", "--n", "2..40"]
     cases = [
-        (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"],
-         "d07e0e5534e774ead2b09cbb1126464cd05dde62e219a3626baa0c58101bf624"),
+        (["sweep", "--q", "2/3", "--k", "3", "--n", "3..200", "--n1", "half"], bench["stdout_sha256"]),
         (["decompose", measure, "--k", "4"],
          "56ca2a15e2c5d2cfb036cad5d0e8c063895b9b0cb014b66dd2f4e1f17d186bc1"),
         (["decompose", large, "--k", "8"],
          "1cfdf99d49bf63db424d8ed6c5eb96db4fc5f56d4199901af2b7c08eec11be2e"),
-        (["verify-all", "--max-n", "8"],
-         "685e0d9ced77f321f58ba1744a170ec5283f17a2de8bb9a75bb6463101e71e08"),
+        (["verify-all", "--max-n", "8"], bench["verify_stdout_sha256"]),
+        (["verify-all", "--max-n", "6", "--q", "1/2,2/3"],
+         "8a3cadc9a1be7591ad50a5c053a230de58269af4696fe50b35267e485a325ce7"),
         (["qbinom", "1000", "2", "--q", "2/3"],
          "e316657c7188f94e4b27a513e90b59702f9615796138f86d8203d83ee47420f5"),
         (["distance", "--n", "400", "--n1", "0", "--k", "400", "--q", "2/3"],
@@ -573,8 +600,12 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
          "1b861529e889b0cac08cb0310490061b376e4fe7366d97ea4eed37a034273efa"),
     ]
     for argv, digest in cases:
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = within_a_minute(run_cli, capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+    # the exact projection of a measure past the sizes a dense table can check
+    p = within_a_minute(projection.project, random_q_exch(150, Fraction(2, 3), 0), 4)
+    got = hashlib.sha256("".join(f"{x}\n" for x in p.base).encode()).hexdigest()
+    assert got == "1ed47aa12902d96fac59343796c5ab49d48ea79f766b4b478ec09eaae47fd079"
 
 
 def test_cli_start_up_skips_modules_a_sweep_never_uses():

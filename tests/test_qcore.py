@@ -362,7 +362,7 @@ def test_large_row_memory_is_bounded():
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    for n, cap_mb in ((400, 1024), (6000, 512)):
+    for n, cap_mb in ((400, 1024), (1000, 1024), (6000, 512)):
         argv = [sys.executable, "-c", code, str(n), str(cap_mb)]
         result = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert result.returncode == 0, (n, result.stderr)
