@@ -34,13 +34,17 @@ class _UsageError(Exception):
     pass
 
 
+def _read(text: str, what: str) -> Fraction:
+    """A number in the fraction grammar of measure files, with their digit limit."""
+    try:
+        return measures._scalar_from_json(text)
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse {what}: {exc}") from exc
+
+
 def _parse_q(text: str) -> Fraction:
     try:
-        q = measures._scalar_from_json(text)
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse q: {exc}") from exc
-    try:
-        return check_q(q)
+        return check_q(_read(text, "q"))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -49,8 +53,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     match = _RANGE_RE.fullmatch(text)
     if not match:
         raise _UsageError(f"cannot parse n range {text!r}; expected START..END or a single value")
-    start = int(match.group(1))
-    end = int(match.group(2)) if match.group(2) is not None else start
+    start = int(_read(match.group(1), "n range"))
+    end = int(_read(match.group(2), "n range")) if match.group(2) is not None else start
     return start, end
 
 
@@ -62,7 +66,7 @@ def _parse_n1_rule(text: str) -> str | int:
     tail = text[len("fixed:"):]
     if not (tail.isascii() and tail.isdigit()):
         raise _UsageError(f"fixed n1 rule needs an integer, got {text!r}")
-    return int(tail)
+    return int(_read(tail, "fixed n1 rule"))
 
 
 def _emit(text: str, path: str | None = None, stream: str = "stdout") -> None:

@@ -3,7 +3,7 @@
 Projecting a q-exchangeable measure onto its first ``k`` coordinates yields a
 q-exchangeable measure again, so the pushforward stays in compact form: the
 mix of the projected extreme measures by the level masses, whose level sums
-:func:`project` takes from the integer level kernel in ``definetti``.  The two
+:func:`project` takes from the integer level sum in ``definetti``.  The two
 closed forms give the block values of a projected extreme and q-Bernoulli
 measure; the latter's factor ``(q^n1; 1/q)_k1`` is :func:`q_pochhammer`.  They
 differ by one ratio of Pochhammer products, since the binomial ratio in the
@@ -25,17 +25,17 @@ from fractions import Fraction
 
 from .qcore import check_q, q_binomial_numerator, q_pochhammer
 from .measures import DenseMeasure, QExchMeasure, to_dense
-from .definetti import _mix
+from .definetti import _level_masses, _level_sums
 
 Measure = QExchMeasure | DenseMeasure
 
 
 def project(m: QExchMeasure, k: int) -> QExchMeasure:
     """Pushforward of ``m`` onto its first ``k`` coordinates: each level sum of
-    :func:`_mix` (which checks ``k``) divided by ``[k, k1]_q``, in one Fraction."""
+    :func:`_level_sums` over ``m``'s level masses divided by ``[k, k1]_q``."""
     if k == m.n:
         return m
-    levels, d = _mix(m, k, bernoulli=False)
+    levels, d = _level_sums(m.n, k, m.q, _level_masses(m, k), bernoulli=False)
     b, g = m.q.denominator, math.gcd(d, *levels)  # most of d is common to every level
     base = [Fraction(x // g * b ** (k1 * (k - k1)), d // g * q_binomial_numerator(k, k1, m.q))
             for k1, x in enumerate(levels)]

@@ -75,6 +75,12 @@ def suite_qbinom(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
     return _first_failure("qbinom-identity", checks())
 
 
+def _sum_out_last(weights: list[Fraction]) -> list[Fraction]:
+    """A dense table with its last coordinate, a packed word's top bit, summed out."""
+    half = len(weights) // 2
+    return [weights[p] + weights[p + half] for p in range(half)]
+
+
 def _measure_inventory(n: int, q: Fraction) -> list[measures.QExchMeasure]:
     inventory = [measures.extreme_measure(n, k, q) for k in range(n + 1)]
     inventory += [measures.q_bernoulli(n, e, q) for e in range(n + 1)]
@@ -96,9 +102,8 @@ def suite_exchangeability(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
                     marginal = list(dense.weights)
                     swap = measures.is_q_exchangeable(dense, q)[1]  # the first broken (word, position)
                     for k in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)), reverse=True):
-                        while len(marginal) > 1 << k:  # sum out the last coordinate
-                            half = len(marginal) // 2
-                            marginal = [marginal[p] + marginal[p + half] for p in range(half)]
+                        while len(marginal) > 1 << k:
+                            marginal = _sum_out_last(marginal)
                         projected = list(measures.to_dense(projection.project(m, k)).weights)
                         yield marginal == projected and not (k == n and swap), lambda: next((
                             f"marginal mismatch at n={n}, k={k}, q={q}, packed={p}: dense={x}, compact={y}"
@@ -120,8 +125,8 @@ def suite_projection(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
                     for m, closed_form, lead in pairs:
                         dense = list(measures.to_dense(m).weights)
                         for dim in range(n, -1, -1):
-                            if dim < n:  # sum out the last coordinate
-                                dense = [dense[p] + dense[p | (1 << dim)] for p in range(1 << dim)]
+                            if dim < n:
+                                dense = _sum_out_last(dense)
                             compact = projection.project(m, dim)
                             for k1 in range(dim + 1):
                                 s = qcore.block_word(dim, k1)

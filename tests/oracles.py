@@ -79,7 +79,7 @@ def suffix_sum_project(m: QExchMeasure, k: int) -> QExchMeasure:
     ``q^((j - k1)(k - k1)) * [n - k, j - k1]_q``: the suffixes of ``n - k``
     bits with ``j - k1`` ones, each weighed by its coinversions and those it
     makes with the prefix.  Row ``n - k`` comes from the product formula, so
-    nothing here shares the library's level kernel or row store.
+    nothing here shares the library's level sums or row store.
     """
     row = q_binomial_row(m.n - k, m.q)
     base = []

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qexchange import (
     MeasureSampler,
@@ -29,6 +29,7 @@ from qexchange import (
     random_q_exch,
 )
 from qexchange.cli import CSV_HEADER, main
+from helpers import src_env
 
 HALF = Fraction(1, 2)
 
@@ -79,6 +80,14 @@ def test_exact_output_past_the_digit_limit(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err == f"error: cannot parse q: an integer has more than {limit} digits, the limit for reading one\n"
         assert "set_int_max_str_digits" not in err
+    too_long = f"an integer has more than {limit} digits, the limit for reading one\n"
+    for argv, what in [  # the sweep's --n and --n1 ints in the same words
+        (["--n", one], "n range"),
+        (["--n", f"3..{one}"], "n range"),
+        (["--n", "3..5", "--n1", f"fixed:{one}"], "fixed n1 rule"),
+    ]:
+        code, out, err = run_cli(capsys, "sweep", "--q", "2/3", "--k", "3", *argv)
+        assert (code, out, err) == (2, "", f"error: cannot parse {what}: {too_long}")
     code, out, _ = run_cli(capsys, "distance", "--n", "100", "--n1", "0", "--k", "100", "--q", "9/10")
     assert code == 0 and out.endswith("PASS\n")
 
@@ -402,11 +411,9 @@ def test_random_measure_writes_only_files_decompose_reads(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "decompose", str(path), "--k", "4")
     assert code == 0 and json.loads(out)["pass"] is True
     big = tmp_path / "big.json"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
     result = subprocess.run(
         [sys.executable, "-m", "qexchange", "random-measure", "--n", "190", "--q", "2/3", "--out", str(big)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=src_env("PYTHONINTMAXSTRDIGITS"),
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
@@ -610,7 +617,7 @@ def test_exact_outputs_keep_their_digests(tmp_path, capsys):
 
 def test_cli_start_up_skips_modules_a_sweep_never_uses():
     # -S keeps site-packages out, and with it what their .pth files import
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env = src_env()
     code = "import sys, qexchange.cli; print(' '.join(sys.modules))"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
@@ -629,9 +636,8 @@ def test_cli_start_up_skips_modules_a_sweep_never_uses():
 
 
 def test_package_import_loads_no_submodule():
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     code = "import sys, qexchange; print(' '.join(sys.modules))"
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env())
     assert result.returncode == 0, result.stderr
     assert [m for m in result.stdout.split() if m.startswith("qexchange.")] == []
 
@@ -688,6 +694,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         cwd=str(Path(__file__).resolve().parent.parent),
+        env=src_env(),
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "35/16"
@@ -718,8 +725,7 @@ def test_unwritable_stdout_is_usage_error(tmp_path, argv, full):
     measure_path = tmp_path / "m.json"
     measure_path.write_text(random_q_exch(4, HALF, 0).to_json())
     argv = [a.format(measure=measure_path) for a in argv]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered stdout
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env = src_env("PYTHONUNBUFFERED")  # buffered stdout
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     with open("/dev/full", "w") as dev_full:
         if full == "closed":  # the interpreter starts with sys.stdout None
@@ -741,7 +747,8 @@ def test_unwritable_stdout_is_usage_error(tmp_path, argv, full):
 
 Q_TEXTS = ("1/2", "2/3", "0/1", "1/1", "3/2", "1/0", "0.5", "abc", "")
 small_ints = st.integers(-2, 12).map(str)
-sizes = st.sampled_from([*range(-2, 13), 200]).map(str)  # n = 200: values past 4300 digits
+LONG = "1" * (sys.get_int_max_str_digits() + 1)  # more digits than an int is read with
+sizes = st.sampled_from([*range(-2, 13), 200, LONG]).map(str)  # n = 200: values past 4300 digits
 q_texts = st.sampled_from(Q_TEXTS)
 json_scalars = (
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | q_texts | st.text(max_size=4)
@@ -783,6 +790,10 @@ def cli_argv(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(cli_argv())
+# a random draw reaches the sweep's int readers with a valid q only rarely
+@example((["sweep", "--q", "2/3", "--k", "3", "--n", LONG], None))
+@example((["sweep", "--q", "2/3", "--k", "3", "--n", f"3..{LONG}"], None))
+@example((["sweep", "--q", "2/3", "--k", "3", "--n", "3..5", "--n1", f"fixed:{LONG}"], None))
 def test_exit_codes_keep_their_meaning(case):
     # 0 ok, 1 a failed mathematical check (reported on stdout), 2 bad usage or input
     argv, measure_text = case

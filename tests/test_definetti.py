@@ -22,7 +22,7 @@ from qexchange import (
     to_dense,
     tv_distance,
 )
-from qexchange.definetti import _LevelKernel
+from qexchange.definetti import _level_sums
 from oracles import materialised_approx_error, q_binomial_row
 
 HALF = Fraction(1, 2)
@@ -137,7 +137,7 @@ def test_distance_matches_tv_of_projections():
 
 
 def test_distance_matches_closed_form_level_sum():
-    # the integer kernel against the public closed forms, which stay the reference
+    # the integer level sums against the public closed forms, which stay the reference
     for q in (HALF, Fraction(2, 3)):
         for n in range(41):
             for n1 in range(n + 1):
@@ -155,14 +155,14 @@ def test_distance_matches_closed_form_level_sum():
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
 @pytest.mark.parametrize("n", [64, 200])
 def test_level_gaps_against_binomial_ratio(n, q):
-    # the Pochhammer-ratio kernel against [n - k, n1 - k1]_q / [n, n1]_q from
-    # product-formula rows, corners (n1 < k1 or n1 - k1 > n - k) included, with
-    # the q-Bernoulli term subtracted (the distances) and left out (project)
+    # the Pochhammer-ratio level sums of a point mass against
+    # [n - k, n1 - k1]_q / [n, n1]_q from product-formula rows, corners
+    # (n1 < k1 or n1 - k1 > n - k) included, with the q-Bernoulli term
+    # subtracted (the distances) and left out (project)
     whole = q_binomial_row(n, q)
     for k in (0, 1, 4, 12):
         inner, small = q_binomial_row(n - k, q), q_binomial_row(k, q)
         for n1 in sorted({0, 1, k - 1, k, n // 2, n - k, n - k + 1, n - 1, n} & set(range(n + 1))):
-            kernel = _LevelKernel(n, k, q, n1, n1)
             extreme, gap = [], []
             for k1 in range(k + 1):
                 ratio = inner[n1 - k1] / whole[n1] if 0 <= n1 - k1 <= n - k else 0
@@ -171,9 +171,8 @@ def test_level_gaps_against_binomial_ratio(n, q):
                 extreme.append(weight * ratio)
                 gap.append(weight * (ratio - bernoulli))
             for subtract, expected in ((True, gap), (False, extreme)):
-                terms = kernel.terms(n1, bernoulli=subtract)
-                got = [Fraction(g, kernel.denominator) for g in terms] + [Fraction(0)] * (k + 1 - len(terms))
-                assert got == expected, (k, n1, subtract)
+                levels, d = _level_sums(n, k, q, [(n1, 1)], bernoulli=subtract)
+                assert [Fraction(g, d) for g in levels] == expected, (k, n1, subtract)
 
 
 def test_distance_preconditions():

@@ -1,10 +1,8 @@
 import math
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +32,7 @@ from qexchange import (
 )
 from qexchange import qcore
 from oracles import brute_level_sum, pair_statistics, q_binomial_row
+from helpers import src_env
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -309,7 +308,7 @@ def test_row_budget_is_shared_by_every_q(cold_cache):
 
 
 def test_sweep_holds_only_the_level_row(cold_cache):
-    # the level kernel reads [k, k1]_q and no size-n row
+    # the level sums read [k, k1]_q and no size-n row
     q = Fraction(2, 3)
     verify_rate(RateSweepConfig(q=q, k=3, n_start=3, n_end=200, n1_rule="half"))
     assert cold_cache.cache_info().currsize == 1 and _is_held(cold_cache, 2, 3, 3)
@@ -337,7 +336,7 @@ def test_zero_base_values_read_no_binomial(cold_cache):
 
 
 def test_project_reads_no_suffix_row(cold_cache):
-    # the level kernel mixes rows n (the level masses) and k; row n - k, which
+    # the level sums mix rows n (the level masses) and k; row n - k, which
     # a suffix sum over [n - k, j - k1]_q would read, is never built
     m = random_q_exch(150, Fraction(2, 3), 0)
     project(m, 4)
@@ -360,11 +359,9 @@ def test_large_row_memory_is_bounded():
         "    assert main(['qbinom', n, '2', '--q', '2/3']) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
     for n, cap_mb in ((400, 1024), (1000, 1024), (6000, 512)):
         argv = [sys.executable, "-c", code, str(n), str(cap_mb)]
-        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        result = subprocess.run(argv, capture_output=True, text=True, env=src_env())
         assert result.returncode == 0, (n, result.stderr)
         assert int(result.stdout) < 4 * 1024, n
 
