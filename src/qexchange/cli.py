@@ -29,6 +29,11 @@ _COLUMNS = CSV_HEADER.split(",")  # the DistanceReport fields of a sweep row
 
 _RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
+#: The largest ``k (n - k)``, the power of ``b`` under ``[n, k]_q``, that
+#: ``qbinom`` reads: at ``q = 2/3`` the prefix of row 2000 up to ``k = 1000``
+#: takes about 15 s and 220 MB.
+_MAX_QBINOM_EXPONENT = 10**6
+
 
 class _UsageError(Exception):
     pass
@@ -137,6 +142,8 @@ def cmd_qbinom(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     if not 0 <= args.k <= args.n:
         raise _UsageError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
+    if args.k * (args.n - args.k) > _MAX_QBINOM_EXPONENT:
+        raise _UsageError(f"need k(n - k) <= {_MAX_QBINOM_EXPONENT}, got n={args.n}, k={args.k}")
     with _exact_digits():
         _emit(f"{q_binomial(args.n, args.k, q)}\n")
     return 0
@@ -256,8 +263,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_random_measure(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
-    if args.n < 0:
-        raise _UsageError(f"n must be >= 0, got {args.n}")
+    # the sweep's limit; it costs no output, since from n = 240 on a random
+    # measure has entries past the digit limit below, at any q
+    if not 0 <= args.n <= bounds._MAX_N:
+        raise _UsageError(f"n must be in 0..{bounds._MAX_N}, got {args.n}")
     m = measures.random_q_exch(args.n, q, args.seed)
     try:  # under the limit ``decompose`` reads with, so the file can be read back
         text = m.to_json()
@@ -316,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qbinom", help="print a Gaussian binomial coefficient")
     p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=int, help=f"0 <= k <= n, with k(n - k) at most {_MAX_QBINOM_EXPONENT}")
     p.add_argument("--q", required=True, help="deformation parameter as a fraction, e.g. 1/2")
     p.set_defaults(func=cmd_qbinom)
 
     p = sub.add_parser("distance", help="extreme-vs-Bernoulli projection distance with both bounds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"at most {bounds._MAX_N}")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", required=True)
@@ -330,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rate sweep over an n range; CSV schema " + CSV_HEADER)
     p.add_argument("--q", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", required=True, help="inclusive range START..END (or a single value)")
+    p.add_argument(
+        "--n", required=True, help=f"inclusive range START..END (or a single value), END at most {bounds._MAX_N}"
+    )
     p.add_argument("--n1", default=bounds.RateSweepConfig.n1_rule, help="half | equal | fixed:<v>")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--out", help="write output to this path instead of stdout")
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("random-measure", help="write a seeded random q-exchangeable measure as JSON")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"0 <= n <= {bounds._MAX_N}")
     p.add_argument("--q", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write to this path instead of stdout")

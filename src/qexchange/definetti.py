@@ -25,7 +25,8 @@ alpha-mix of the level terms serves ``D`` (a point mass), ``approx_error`` and
 so every level term is built from ``O(k)`` factors and no size-n Gaussian
 binomial is read.  Where ``k - k1 > n - n1`` the product
 ``(q^(n-n1); 1/q)_(k-k1)`` has the factor ``1 - q^0 = 0``, so one term formula
-serves every level, over the shared ``(q^n; 1/q)_k``.
+serves every level, over the shared ``(q^n; 1/q)_k``; a distance sums the
+levels where every term is the q-Bernoulli one alone without that factor.
 """
 
 from __future__ import annotations
@@ -74,12 +75,15 @@ def _level_masses(m: QExchMeasure, k: int) -> _Masses:
     return [(n1, alpha) for n1 in range(m.n + 1) if (alpha := m.level_mass(n1))]
 
 
-def _level_sums(n: int, k: int, q: Fraction, masses: _Masses, *, bernoulli: bool) -> tuple[list[int], int]:
-    """The alpha-mix ``sum_n1 alpha_n1 g_n1[k1]``, ``k1 = 0..k``, over the
-    ``(n1, alpha)`` pairs of ``masses`` (increasing ``n1``), of the level masses
-    ``g_n1`` of the k-projection of ``extreme(n, n1)``, minus those of the
-    q-Bernoulli measure at ``x = q^n1`` if ``bernoulli``: ints and their one
-    denominator.
+def _level_sums(
+    n: int, k: int, q: Fraction, masses: _Masses, *, bernoulli: bool
+) -> tuple[list[int], int, int]:
+    """The alpha-mix ``sum_n1 alpha_n1 g_n1[k1]`` over the ``(n1, alpha)``
+    pairs of ``masses`` (increasing ``n1``), of the level masses ``g_n1`` of
+    the k-projection of ``extreme(n, n1)``, minus those of the q-Bernoulli
+    measure at ``x = q^n1`` if ``bernoulli``: the sums of levels
+    ``k1 = low..k``, the sum of the absolute values of the levels below
+    ``low``, and their one denominator, all ints.
 
     With ``q = a/b`` and ``F_j = b^j - a^j``, each product of the
     Pochhammer-ratio identity (module docstring) is an integer over a power of
@@ -97,12 +101,19 @@ def _level_sums(n: int, k: int, q: Fraction, masses: _Masses, *, bernoulli: bool
     common denominator ``L Q_k b^(top k)``, with ``L`` the lcm of the mass
     denominators, is fixed before the loop over the levels; the row
     ``N(k, .)``, the factors ``F_j`` the levels read and ``Q_k`` are set up
-    once, and each level is then one step.  A point mass ``[(n1, 1)]`` has
-    ``L = 1`` and weight 1, so its sums are its terms.
+    once, and each level is then one step.  The part of a term that does not
+    depend on ``n1``, ``N(k, k1) b^(k1 (k1 - 1) / 2)`` and ``a^e`` at the
+    lowest ``n1`` that reaches level ``k1``, is multiplied into each sum once,
+    after the loop, so a point mass still takes one large product per level.
+    Below ``low = k - (n - bottom)`` (``low = 0`` without ``bernoulli``) every
+    term is the q-Bernoulli one alone, ``-N(k, k1) a^e P_k1 / b^t``: those
+    sums are taken over ``L b^(top k)``, without ``Q_k``, and their absolute
+    sum is brought to the common denominator by one product.  A point mass
+    ``[(n1, 1)]`` has ``L = 1`` and weight 1, so its sums are its terms.
     """
     a, b = q.numerator, q.denominator
     bottom, top = masses[0][0], masses[-1][0]
-    binoms = [q_binomial_numerator(k, k1, q) for k1 in range(k + 1)]
+    low = max(k - n + bottom, 0) if bernoulli else 0
     # F_j for the j that P (levels bottom..top), R and Q_k read, so that one
     # level costs O(k) factors, not O(n); 0 elsewhere, where only products
     # that are already 0 or the last, unused update of a running product read
@@ -119,7 +130,6 @@ def _level_sums(n: int, k: int, q: Fraction, masses: _Masses, *, bernoulli: bool
     lcm = math.lcm(*(alpha.denominator for _, alpha in masses))
     levels = [0] * (k + 1)
     for n1, alpha in masses:
-        weight = alpha.numerator * (lcm // alpha.denominator) * b ** ((top - n1) * k)
         high, m = min(k, n1), n - n1
         # R_j b^(sQ - sR_j) for j = k-high..k, R_j = F_m F_(m-1) ... F_(m-j+1);
         # no power of b is built for the R_j past j = m, which meet F_0 = 0
@@ -128,18 +138,23 @@ def _level_sums(n: int, k: int, q: Fraction, masses: _Masses, *, bernoulli: bool
         for j in range(k - high, k + 1):
             rests.append(rest and rest * b ** (s_whole - j * m + j * (j - 1) // 2))
             rest *= factors[m - j]
-        poch = 1  # P_k1
+        # P_k1 times the level's weight, padded to b^(top k)
+        poch = alpha.numerator * (lcm // alpha.denominator) * b ** ((top - n1) * k)
         for k1 in range(high + 1):
-            if x := poch * (rests[high - k1] - minus):
-                levels[k1] += binoms[k1] * a ** ((n1 - k1) * (k - k1)) * b ** (k1 * (k1 - 1) // 2) * x * weight
+            if x := poch if k1 < low else poch * (rests[high - k1] - minus):
+                levels[k1] += a ** ((n1 - max(bottom, k1)) * (k - k1)) * x
             poch *= factors[n1 - k1]
-    return levels, lcm * whole * b ** (top * k)
+    for k1, x in enumerate(levels):
+        if x:  # a's power is that of the lowest n1 that reaches level k1
+            e = (max(bottom, k1) - k1) * (k - k1)
+            levels[k1] = x * (q_binomial_numerator(k, k1, q) * b ** (k1 * (k1 - 1) // 2) * a**e)
+    return levels[low:], whole * sum(levels[:low]), lcm * whole * b ** (top * k)
 
 
 def _distance(n: int, k: int, q: Fraction, masses: _Masses) -> Fraction:
     """The TV distance whose level gaps :func:`_level_sums` gives, in one Fraction."""
-    levels, d = _level_sums(n, k, q, masses, bernoulli=True)
-    return Fraction(sum(map(abs, levels)), d)
+    levels, below, d = _level_sums(n, k, q, masses, bernoulli=True)
+    return Fraction(sum(map(abs, levels)) + below, d)
 
 
 def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fraction:

@@ -26,6 +26,7 @@ interpreter's int-to-str digit limit (4300 digits by default).  The CLI reads
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -48,15 +49,25 @@ def _coerce_entries(values, what: str) -> tuple[Fraction, ...]:
             v = Fraction(v)
         elif not isinstance(v, Fraction):
             raise TypeError(f"{what} entry {v!r} is not an int or Fraction")
-        if v < 0:
+        if v.numerator < 0:
             raise ValueError(f"{what} entries must be nonnegative, got {v}")
         out.append(v)
     return tuple(out)
 
 
-def _check_total_mass(total: Fraction, what: str) -> None:
-    if total != 1:
-        raise ValueError(f"{what} total mass must be exactly 1, got {total}")
+def _over_lcm(values) -> tuple[list[int], int]:
+    """The numerators of the Fractions (or ints) ``values`` over the lcm of
+    their denominators, and that lcm: sums and differences in ints."""
+    lcm = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (lcm // x.denominator) for x in values], lcm
+
+
+def _check_total_mass(levels, what: str) -> None:
+    """Require the Fractions ``levels`` to sum to exactly 1, summed as ints
+    over one lcm; the exact total is built only for the error message."""
+    ints, lcm = _over_lcm(levels)
+    if sum(ints) != lcm:
+        raise ValueError(f"{what} total mass must be exactly 1, got {sum(levels)}")
 
 
 class _LevelRecord(_Record):
@@ -131,13 +142,27 @@ class QExchMeasure(_LevelRecord):
 
     def __post_init__(self) -> None:
         self._check_levels()
-        _check_total_mass(sum(map(self.level_mass, range(self.n + 1))), "measure")
+        _check_total_mass([self.level_mass(k) for k in range(self.n + 1)], "measure")
 
     def level_mass(self, k: int) -> Fraction:
         """``base[k] * [n, k]_q``, the mass of the words with ``k`` ones; reads
-        the binomial only for a nonzero ``base[k]``, and never builds its Fraction."""
-        base, q = self.base[k], self.q
-        return base and base * q_binomial_numerator(self.n, k, q) / q.denominator ** (k * (self.n - k))
+        the binomial only for a nonzero ``base[k]``, and never builds its Fraction.
+
+        With ``q = a/b`` and ``[n, k]_q = N / b^e``, ``e = k (n - k)``, the
+        common factors ``gcd(N, den(base[k]))`` and ``gcd(num(base[k]), b^e)``
+        are divided out before the two products are formed, so no product is
+        bigger than the result needs.  Nothing else cancels, because
+        ``gcd(N, b) = 1``: the Gaussian polynomial ``[n, k]`` is monic of
+        degree ``e``, so of ``N = sum_i c_i a^i b^(e - i)`` only ``a^e`` is
+        left mod ``b``, and ``a`` is prime to ``b``.
+        """
+        base = self.base[k]
+        if not base:
+            return base
+        e = k * (self.n - k)
+        binom, power = q_binomial_numerator(self.n, k, self.q), self.q.denominator**e
+        g, h = math.gcd(binom, base.denominator), math.gcd(base.numerator, power)
+        return Fraction(base.numerator // h * (binom // g), base.denominator // g * (power // h))
 
 
 class MixingMeasure(_LevelRecord):
@@ -151,7 +176,7 @@ class MixingMeasure(_LevelRecord):
     _what = "mixing-measure"
 
     def __post_init__(self) -> None:
-        _check_total_mass(sum(self._check_levels()), "mixing measure")
+        _check_total_mass(self._check_levels(), "mixing measure")
 
 
 class DenseMeasure(_Record):
@@ -167,7 +192,7 @@ class DenseMeasure(_Record):
         if len(weights) != 1 << self.n:
             raise ValueError(f"need 2^n = {1 << self.n} weights, got {len(weights)}")
         object.__setattr__(self, "weights", weights)
-        _check_total_mass(sum(weights), "dense measure")
+        _check_total_mass(weights, "dense measure")
 
 
 # ---------------------------------------------------------------------------

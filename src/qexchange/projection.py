@@ -15,7 +15,8 @@ extreme block value is itself one:
 Total variation is the plain L1 sum ``sum_w |a(w) - b(w)|``, which equals
 twice the supremum of ``|a(A) - b(A)|`` over events; for two compact measures
 with the same q the sum collapses to the level masses,
-``sum_k1 |a.level_mass(k1) - b.level_mass(k1)|``.
+``sum_k1 |a.level_mass(k1) - b.level_mass(k1)|``, summed as ints over the lcm
+of their denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .qcore import check_q, q_binomial_numerator, q_pochhammer
-from .measures import DenseMeasure, QExchMeasure, to_dense
+from .measures import DenseMeasure, QExchMeasure, _over_lcm, to_dense
 from .definetti import _level_masses, _level_sums
 
 Measure = QExchMeasure | DenseMeasure
@@ -35,7 +36,7 @@ def project(m: QExchMeasure, k: int) -> QExchMeasure:
     :func:`_level_sums` over ``m``'s level masses divided by ``[k, k1]_q``."""
     if k == m.n:
         return m
-    levels, d = _level_sums(m.n, k, m.q, _level_masses(m, k), bernoulli=False)
+    levels, _, d = _level_sums(m.n, k, m.q, _level_masses(m, k), bernoulli=False)
     b, g = m.q.denominator, math.gcd(d, *levels)  # most of d is common to every level
     base = [Fraction(x // g * b ** (k1 * (k - k1)), d // g * q_binomial_numerator(k, k1, m.q))
             for k1, x in enumerate(levels)]
@@ -86,6 +87,8 @@ def tv_distance(a: Measure, b: Measure) -> Fraction:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if isinstance(a, QExchMeasure) and isinstance(b, QExchMeasure) and a.q == b.q:
-        return sum(abs(a.level_mass(k1) - b.level_mass(k1)) for k1 in range(a.n + 1))
+        levels = range(a.n + 1)
+        ints, lcm = _over_lcm([*map(a.level_mass, levels), *map(b.level_mass, levels)])
+        return Fraction(sum(abs(x - y) for x, y in zip(ints, ints[a.n + 1:])), lcm)
     da, db = (m if isinstance(m, DenseMeasure) else to_dense(m) for m in (a, b))
     return sum(abs(x - y) for x, y in zip(da.weights, db.weights))

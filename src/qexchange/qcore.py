@@ -236,6 +236,10 @@ def _fraction_parts(q: Fraction, name: str = "q") -> tuple[int, int]:
 # the prefix by the ratio recurrence
 # ``N(n, k+1) = N(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1))``, whose
 # division is exact, so an entry never depends on which reads came before.
+# Each entry is prime to ``b``: ``[n, k]`` is a monic polynomial in ``q`` of
+# degree ``e = k(n-k)``, so ``N = b^e [n, k]_(a/b)`` is ``a^e`` mod ``b``.  So
+# ``N / b^e`` is in lowest terms, and a product with it cancels only against
+# ``N`` and ``b^e`` separately (``QExchMeasure.level_mass``).
 # The cache holds at most 8 rows over all ``q``, the least recently read
 # evicted first, so memory stays bounded by what is read, at any n and any
 # number of ``q``.

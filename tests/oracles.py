@@ -17,6 +17,7 @@ from qexchange import (
     Word,
     decompose,
     mixture,
+    q_binomial_numerator,
     to_dense,
     tv_distance,
 )
@@ -55,6 +56,13 @@ def q_binomial_row(n: int, q: Fraction) -> list[Fraction]:
     for k in range(1, n + 1):
         row.append(row[-1] * (1 - q ** (n - k + 1)) / (1 - q**k))
     return row
+
+
+def level_mass_by_fractions(base: Fraction, n: int, k: int, q: Fraction) -> Fraction:
+    """``base * [n, k]_q`` as two Fraction operations on the row entry ``N``
+    and ``b^(k(n-k))``, each cancelling its own gcds, where
+    ``QExchMeasure.level_mass`` divides out the common factors itself."""
+    return base and base * q_binomial_numerator(n, k, q) / q.denominator ** (k * (n - k))
 
 
 def upper_constant_double_sum(k: int, q: Fraction) -> Fraction:

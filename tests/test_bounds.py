@@ -151,6 +151,7 @@ def test_config_rules():
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule=-1),
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule=True),  # a bool is not a level
         dict(q=HALF, k=1, n_start=2, n_end=6, n1_rule="2"),
+        dict(q=HALF, k=1, n_start=2, n_end=1001),  # past the largest n_end
     ],
 )
 def test_config_rejects_bad_input(kwargs):

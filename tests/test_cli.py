@@ -748,7 +748,8 @@ def test_unwritable_stdout_is_usage_error(tmp_path, argv, full):
 Q_TEXTS = ("1/2", "2/3", "0/1", "1/1", "3/2", "1/0", "0.5", "abc", "")
 small_ints = st.integers(-2, 12).map(str)
 LONG = "1" * (sys.get_int_max_str_digits() + 1)  # more digits than an int is read with
-sizes = st.sampled_from([*range(-2, 13), 200, LONG]).map(str)  # n = 200: values past 4300 digits
+HUGE = "9" * 4000  # read as an int, and far past every size limit
+sizes = st.sampled_from([*range(-2, 13), 200, HUGE, LONG]).map(str)  # n = 200: values past 4300 digits
 q_texts = st.sampled_from(Q_TEXTS)
 json_scalars = (
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | q_texts | st.text(max_size=4)
@@ -794,6 +795,11 @@ def cli_argv(draw):
 @example((["sweep", "--q", "2/3", "--k", "3", "--n", LONG], None))
 @example((["sweep", "--q", "2/3", "--k", "3", "--n", f"3..{LONG}"], None))
 @example((["sweep", "--q", "2/3", "--k", "3", "--n", "3..5", "--n1", f"fixed:{LONG}"], None))
+# a size that is read but past the limits must not be computed with
+@example((["qbinom", HUGE, "2", "--q", "2/3"], None))
+@example((["distance", "--n", HUGE, "--n1", "0", "--k", "3", "--q", "2/3"], None))
+@example((["sweep", "--q", "2/3", "--k", "3", "--n", f"3..{HUGE}"], None))
+@example((["random-measure", "--n", HUGE, "--q", "2/3"], None))
 def test_exit_codes_keep_their_meaning(case):
     # 0 ok, 1 a failed mathematical check (reported on stdout), 2 bad usage or input
     argv, measure_text = case

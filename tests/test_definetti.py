@@ -158,7 +158,8 @@ def test_level_gaps_against_binomial_ratio(n, q):
     # the Pochhammer-ratio level sums of a point mass against
     # [n - k, n1 - k1]_q / [n, n1]_q from product-formula rows, corners
     # (n1 < k1 or n1 - k1 > n - k) included, with the q-Bernoulli term
-    # subtracted (the distances) and left out (project)
+    # subtracted (the distances) and left out (project); below level
+    # low = k - (n - n1) the distances get one absolute sum
     whole = q_binomial_row(n, q)
     for k in (0, 1, 4, 12):
         inner, small = q_binomial_row(n - k, q), q_binomial_row(k, q)
@@ -171,8 +172,10 @@ def test_level_gaps_against_binomial_ratio(n, q):
                 extreme.append(weight * ratio)
                 gap.append(weight * (ratio - bernoulli))
             for subtract, expected in ((True, gap), (False, extreme)):
-                levels, d = _level_sums(n, k, q, [(n1, 1)], bernoulli=subtract)
-                assert [Fraction(g, d) for g in levels] == expected, (k, n1, subtract)
+                levels, below, d = _level_sums(n, k, q, [(n1, 1)], bernoulli=subtract)
+                low = max(k - n + n1, 0) if subtract else 0
+                assert [Fraction(g, d) for g in levels] == expected[low:], (k, n1, subtract)
+                assert Fraction(below, d) == sum(map(abs, expected[:low])), (k, n1, subtract)
 
 
 def test_distance_preconditions():

@@ -1,7 +1,10 @@
 import json
+import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +23,12 @@ from qexchange import (
     is_q_exchangeable,
     q_bernoulli,
     q_binomial,
+    q_binomial_numerator,
     random_q_exch,
     swap_adjacent,
     to_dense,
 )
-from oracles import chi2_sf, literal_bernoulli_base
+from oracles import chi2_sf, level_mass_by_fractions, literal_bernoulli_base
 
 HALF = Fraction(1, 2)
 QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
@@ -61,6 +65,77 @@ def test_dense_validation():
         DenseMeasure(30, (Fraction(1),))
     with pytest.raises(TypeError):
         DenseMeasure(2, (0.25,) * 4)
+
+
+@pytest.mark.parametrize("bad", [Fraction(-1, 2), -1], ids=["fraction", "int"])
+def test_negative_entries_are_rejected(bad):
+    for record, args in (
+        (QExchMeasure, (1, HALF, (1, bad))),
+        (MixingMeasure, (1, HALF, (1, bad))),
+        (DenseMeasure, (1, (1, bad))),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            record(*args)
+
+
+def test_total_mass_off_by_one_part_in_the_lcm_names_the_exact_total():
+    m = random_q_exch(12, Fraction(2, 3), 5)
+    alpha = decompose(m).alpha
+    dense = to_dense(random_q_exch(4, HALF, 1)).weights
+    for record, n, q, levels in (
+        (QExchMeasure, m.n, m.q, alpha),  # level 0's mass is base[0]
+        (MixingMeasure, m.n, m.q, alpha),
+        (DenseMeasure, 4, None, dense),
+    ):
+        over = Fraction(1, math.lcm(*(x.denominator for x in levels)))
+        vector = m.base if record is QExchMeasure else levels
+        vector = (vector[0] + over, *vector[1:])
+        args = (n, vector) if q is None else (n, q, vector)
+        with pytest.raises(ValueError, match=re.escape(f"total mass must be exactly 1, got {1 + over}")):
+            record(*args)
+
+
+LEVEL_MASS_QS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), Fraction(6, 35), Fraction(999, 1000))
+
+
+@st.composite
+def level_entries(draw):
+    """``(n, q, base)`` with entries that share factors with ``b^(k(n-k))``
+    and with the row entry ``N(n, k)``: ints, ``c b^j / (d N)`` and
+    ``c N / (d b^j)``."""
+    n, q = draw(st.integers(0, 14)), draw(st.sampled_from(LEVEL_MASS_QS))
+    b, base = q.denominator, []
+    for k in range(n + 1):
+        binom, e = q_binomial_numerator(n, k, q), k * (n - k)
+        c, d, j = draw(st.integers(0, 40)), draw(st.integers(1, 40)), draw(st.integers(0, e + 2))
+        base.append(draw(st.sampled_from(
+            [Fraction(c), Fraction(c * b**j, d * binom), Fraction(c * binom, d * b**j)]
+        )))
+    return n, q, tuple(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_entries())
+def test_level_mass_matches_the_fraction_formula(case):
+    n, q, base = case
+    record = SimpleNamespace(n=n, q=q, base=base)  # any base, not only a probability vector
+    for k in range(n + 1):
+        mass = QExchMeasure.level_mass(record, k)
+        assert mass == level_mass_by_fractions(base[k], n, k, q) == base[k] * q_binomial(n, k, q)
+        assert type(mass) is Fraction
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 40), q=st.sampled_from(LEVEL_MASS_QS), seed=st.integers(0, 10**6))
+def test_level_mass_of_constructed_measures_matches_the_fraction_formula(n, q, seed):
+    rng = random.Random(seed)
+    for m in (
+        extreme_measure(n, rng.randint(0, n), q),
+        q_bernoulli(n, rng.randint(0, n + 2), q),
+        random_q_exch(n, q, seed),
+    ):
+        for k in range(n + 1):
+            assert m.level_mass(k) == level_mass_by_fractions(m.base[k], n, k, q)
 
 
 def test_extreme_measure():

@@ -366,6 +366,20 @@ def test_large_row_memory_is_bounded():
         assert int(result.stdout) < 4 * 1024, n
 
 
+@pytest.mark.parametrize(
+    "q", [Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), Fraction(6, 35), Fraction(999, 1000)]
+)
+def test_q_binomial_numerator_is_prime_to_b(q):
+    # [n, k] is monic of degree e = k(n - k), so N = b^e [n, k]_(a/b) is a^e
+    # mod b, and a is prime to b: level_mass relies on gcd(N, b) = 1
+    a, b = q.numerator, q.denominator
+    for n in range(61):
+        for k in range(n + 1):
+            binom = q_binomial_numerator(n, k, q)
+            assert binom % b == pow(a, k * (n - k), b), (n, k)
+            assert math.gcd(binom, b) == 1, (n, k)
+
+
 def test_q_binomial_numerator_errors():
     with pytest.raises(ValueError):
         q_binomial_numerator(2, 3, HALF)
