@@ -4,10 +4,12 @@ Exit codes are stable across subcommands: 0 for success, 1 for a failed
 mathematical check (a bound or invariant that should have held), 2 for usage
 or input errors, an unwritable stdout, stderr or ``--out`` path included.  q is
 read in the fraction grammar of measure files, so ``1/2`` is accepted and
-``0.5`` is not.  All arithmetic is exact; floats are only rounded display
-copies: the CSV columns of ``sweep``, the bracketed values of ``distance`` and
-the ``*_float`` fields of ``decompose``, with a value past the float range
-shown as an infinity.
+``0.5`` is not, and every integer argument in its integer form ``-?[0-9]+``,
+so ``+3``, ``1_0`` and non-ASCII digits are not; both keep the files' digit
+limit.  A line to stderr is clipped to 200 characters.  All arithmetic is
+exact; floats are only rounded display copies: the CSV columns of ``sweep``,
+the bracketed values of ``distance`` and the ``*_float`` fields of
+``decompose``, with a value past the float range shown as an infinity.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import contextlib
 import math
 import os
-import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -26,8 +27,6 @@ from .qcore import check_q, q_binomial
 
 CSV_HEADER = "n,k,n1,q,distance,upper,lower,dist_over_qn"
 _COLUMNS = CSV_HEADER.split(",")  # the DistanceReport fields of a sweep row
-
-_RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 #: The largest ``k (n - k)``, the power of ``b`` under ``[n, k]_q``, that
 #: ``qbinom`` reads: at ``q = 2/3`` the prefix of row 2000 up to ``k = 1000``
@@ -47,6 +46,23 @@ def _read(text: str, what: str) -> Fraction:
         raise _UsageError(f"cannot parse {what}: {exc}") from exc
 
 
+def _int(what: str, lo: float = -math.inf, hi: float = math.inf):
+    """The reader of the integer argument ``what``, also its argparse ``type``:
+    the integer form ``-?[0-9]+`` of the files' fraction strings, in ASCII
+    digits and with their digit limit, held to ``lo..hi``."""
+    def read(text: str) -> int:
+        try:  # the files' reader rejects None, so a fraction is no integer
+            value = measures._scalar_from_json(None if "/" in text else text).numerator
+        except ValueError as exc:
+            too_long = str(exc) == measures._too_many_digits()
+            reason = exc if too_long else f'expected an integer like "3", got {text!r}'
+            raise _UsageError(f"cannot parse {what}: {reason}") from exc
+        if not lo <= value <= hi:
+            raise _UsageError(f"{what} must be in {lo}..{hi}, got {value}")
+        return value
+    return read
+
+
 def _parse_q(text: str) -> Fraction:
     try:
         return check_q(_read(text, "q"))
@@ -55,23 +71,15 @@ def _parse_q(text: str) -> Fraction:
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
-    match = _RANGE_RE.fullmatch(text)
-    if not match:
-        raise _UsageError(f"cannot parse n range {text!r}; expected START..END or a single value")
-    start = int(_read(match.group(1), "n range"))
-    end = int(_read(match.group(2), "n range")) if match.group(2) is not None else start
-    return start, end
+    """``START..END``, or a single value for both ends."""
+    start, dots, end = text.partition("..")
+    return _int("n range")(start), _int("n range")(end if dots else start)
 
 
 def _parse_n1_rule(text: str) -> str | int:
     """``fixed:<v>`` as the level ``v``; any other text is a rule name, which
     ``RateSweepConfig`` checks."""
-    if not text.startswith("fixed:"):
-        return text
-    tail = text[len("fixed:"):]
-    if not (tail.isascii() and tail.isdigit()):
-        raise _UsageError(f"fixed n1 rule needs an integer, got {text!r}")
-    return int(_read(tail, "fixed n1 rule"))
+    return _int("fixed n1 rule")(text[len("fixed:"):]) if text.startswith("fixed:") else text
 
 
 def _emit(text: str, path: str | None = None, stream: str = "stdout") -> None:
@@ -79,6 +87,10 @@ def _emit(text: str, path: str | None = None, stream: str = "stdout") -> None:
     named ``stream`` and flush it; an unwritable or closed destination is an
     input error (exit 2)."""
     out = getattr(sys, stream)
+    if stream == "stderr":  # an error may echo a huge argument: clip, naming the length
+        text = "\n".join(
+            s if len(s) <= 200 else f"{s[:170]}... ({len(s)} characters)" for s in text.split("\n")
+        )
     try:
         if path:
             with open(path, "w") as fh:
@@ -180,10 +192,10 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0 if report.bounds_ok else 1
 
 
-def _report_row(r: bounds.DistanceReport) -> str:
+def _report_cells(r: bounds.DistanceReport) -> list[str]:
     values = [getattr(r, column) for column in _COLUMNS]
     exact = [str(v) for v in values[:4]]  # n, k, n1 and q; the rest are display floats
-    return ",".join(exact + ["" if v is None else _fmt_float(v) for v in values[4:]])
+    return exact + ["" if v is None else _fmt_float(v) for v in values[4:]]
 
 
 def _report_record(r: bounds.DistanceReport) -> dict:
@@ -196,27 +208,18 @@ def _render_sweep(reports, fmt: str, violation: bounds.DistanceReport | None) ->
     if fmt == "json":
         import json
         return json.dumps([_report_record(r) for r in reports], indent=2) + "\n"
-    lines = [CSV_HEADER]
-    lines += [_report_row(r) for r in reports]
+    rows = [_COLUMNS] + [_report_cells(r) for r in reports]
     if violation is not None:
-        lines.append(
-            f"VIOLATION,n={violation.n},n1={violation.n1},k={violation.k},"
-            f"distance={violation.distance}"
-        )
-    text = "\n".join(lines) + "\n"
+        rows.append(["VIOLATION"] + [f"{c}={getattr(violation, c)}" for c in ("n", "n1", "k", "distance")])
     if fmt == "table":
-        rows = [line.split(",") for line in text.strip().split("\n")]
-        widths = [max(len(row[i]) for row in rows if i < len(row)) for i in range(len(rows[0]))]
-        text = "\n".join(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows
-        ) + "\n"
-    return text
+        widths = [max(len(row[i]) for row in rows if i < len(row)) for i in range(len(_COLUMNS))]
+        rows = [[cell.ljust(widths[i]) for i, cell in enumerate(row)] for row in rows]
+    return "".join(("  " if fmt == "table" else ",").join(row) + "\n" for row in rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
-    n_start, n_end = _parse_n_range(args.n)
-    reports, violation = _run_sweep(q, args.k, n_start, n_end, _parse_n1_rule(args.n1))
+    reports, violation = _run_sweep(q, args.k, *args.n, args.n1)
     with _exact_digits():
         _emit(_render_sweep(reports, args.format, violation), args.out)
 
@@ -263,10 +266,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_random_measure(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
-    # the sweep's limit; it costs no output, since from n = 240 on a random
-    # measure has entries past the digit limit below, at any q
-    if not 0 <= args.n <= bounds._MAX_N:
-        raise _UsageError(f"n must be in 0..{bounds._MAX_N}, got {args.n}")
     m = measures.random_q_exch(args.n, q, args.seed)
     try:  # under the limit ``decompose`` reads with, so the file can be read back
         text = m.to_json()
@@ -282,9 +281,6 @@ def cmd_random_measure(args: argparse.Namespace) -> int:
 def cmd_verify_all(args: argparse.Namespace) -> int:
     from . import verify  # the suites are not loaded on the sweep's start-up path
     qs = [_parse_q(part.strip()) for part in args.q.split(",") if part.strip()]
-    # the suites tabulate 2^n words, about doubling per n: 12 takes a minute
-    if not 0 <= args.max_n <= 12:
-        raise _UsageError(f"max-n must be in 0..12, got {args.max_n}")
     if not qs:
         raise _UsageError("need at least one q value")
     results = verify.run_all(args.max_n, qs)
@@ -324,25 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qbinom", help="print a Gaussian binomial coefficient")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int, help=f"0 <= k <= n, with k(n - k) at most {_MAX_QBINOM_EXPONENT}")
+    p.add_argument("n", type=_int("n"))
+    p.add_argument("k", type=_int("k"), help=f"0 <= k <= n, with k(n - k) at most {_MAX_QBINOM_EXPONENT}")
     p.add_argument("--q", required=True, help="deformation parameter as a fraction, e.g. 1/2")
     p.set_defaults(func=cmd_qbinom)
 
     p = sub.add_parser("distance", help="extreme-vs-Bernoulli projection distance with both bounds")
-    p.add_argument("--n", type=int, required=True, help=f"at most {bounds._MAX_N}")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int("n"), required=True, help=f"at most {bounds._MAX_N}")
+    p.add_argument("--n1", type=_int("n1"), required=True)
+    p.add_argument("--k", type=_int("k"), required=True)
     p.add_argument("--q", required=True)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("sweep", help="rate sweep over an n range; CSV schema " + CSV_HEADER)
     p.add_argument("--q", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int("k"), required=True)
     p.add_argument(
-        "--n", required=True, help=f"inclusive range START..END (or a single value), END at most {bounds._MAX_N}"
+        "--n", type=_parse_n_range, required=True,
+        help=f"inclusive range START..END (or a single value), END at most {bounds._MAX_N}",
     )
-    p.add_argument("--n1", default=bounds.RateSweepConfig.n1_rule, help="half | equal | fixed:<v>")
+    p.add_argument(
+        "--n1", type=_parse_n1_rule, default=bounds.RateSweepConfig.n1_rule, help="half | equal | fixed:<v>"
+    )
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--fit-slope", action="store_true", help="print ln-distance slope to stderr")
@@ -350,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a measure file and report its mixture error")
     p.add_argument("measure", help="path to a measure JSON file")
-    p.add_argument("--k", type=int, required=True, help="projection width for the error report")
+    p.add_argument("--k", type=_int("k"), required=True, help="projection width for the error report")
     p.add_argument("--out", help="also write the mixing measure JSON to this path")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("random-measure", help="write a seeded random q-exchangeable measure as JSON")
-    p.add_argument("--n", type=int, required=True, help=f"0 <= n <= {bounds._MAX_N}")
+    p.add_argument("--n", type=_int("n", 0, bounds._MAX_N), required=True, help=f"0 <= n <= {bounds._MAX_N}")
     p.add_argument("--q", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int("seed"), default=0)
     p.add_argument("--out", help="write to this path instead of stdout")
     p.set_defaults(func=cmd_random_measure)
 
     p = sub.add_parser("verify-all", help="run every invariant suite and report per-suite counts")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_int("max-n", 0, 12), default=8, help="0 <= max-n <= 12")
     p.add_argument("--q", default="1/2,1/3,2/3", help="comma-separated fractions")
     p.set_defaults(func=cmd_verify_all)
 

@@ -152,7 +152,7 @@ def _level_sums(
 
 
 def _distance(n: int, k: int, q: Fraction, masses: _Masses) -> Fraction:
-    """The TV distance whose level gaps :func:`_level_sums` gives, in one Fraction."""
+    """The TV distance: the absolute sum of the :func:`_level_sums` levels, in one Fraction."""
     levels, below, d = _level_sums(n, k, q, masses, bernoulli=True)
     return Fraction(sum(map(abs, levels)) + below, d)
 

@@ -113,7 +113,7 @@ def suite_exchangeability(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
 
 
 def suite_projection(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
-    """Closed-form projections against the brute-force suffix sum."""
+    """Closed-form projections against the fold of the dense table and against ``project``."""
     def checks() -> Checks:
         for q in qs:
             for n in range(max_n + 1):

@@ -81,15 +81,55 @@ def test_exact_output_past_the_digit_limit(tmp_path, capsys):
         assert err == f"error: cannot parse q: an integer has more than {limit} digits, the limit for reading one\n"
         assert "set_int_max_str_digits" not in err
     too_long = f"an integer has more than {limit} digits, the limit for reading one\n"
-    for argv, what in [  # the sweep's --n and --n1 ints in the same words
-        (["--n", one], "n range"),
-        (["--n", f"3..{one}"], "n range"),
-        (["--n", "3..5", "--n1", f"fixed:{one}"], "fixed n1 rule"),
-    ]:
-        code, out, err = run_cli(capsys, "sweep", "--q", "2/3", "--k", "3", *argv)
-        assert (code, out, err) == (2, "", f"error: cannot parse {what}: {too_long}")
+    path.write_text(random_q_exch(4, HALF, 0).to_json())
+    for template, what in INT_ARGS:  # every integer argument in the same words
+        code, out, err = run_cli(capsys, *int_argv(template, one, path))
+        assert (code, out, err) == (2, "", f"error: cannot parse {what}: {too_long}"), template
     code, out, _ = run_cli(capsys, "distance", "--n", "100", "--n1", "0", "--k", "100", "--q", "9/10")
     assert code == 0 and out.endswith("PASS\n")
+
+
+# every integer argument: (argv with {} in its place, the name its errors use)
+INT_ARGS = [
+    (["qbinom", "{}", "2", "--q", "1/2"], "n"),
+    (["qbinom", "4", "{}", "--q", "1/2"], "k"),
+    (["distance", "--n", "{}", "--n1", "1", "--k", "1", "--q", "1/2"], "n"),
+    (["distance", "--n", "4", "--n1", "{}", "--k", "1", "--q", "1/2"], "n1"),
+    (["distance", "--n", "4", "--n1", "1", "--k", "{}", "--q", "1/2"], "k"),
+    (["sweep", "--q", "1/2", "--k", "{}", "--n", "3..5"], "k"),
+    (["sweep", "--q", "1/2", "--k", "1", "--n", "{}"], "n range"),
+    (["sweep", "--q", "1/2", "--k", "1", "--n", "{}..5"], "n range"),
+    (["sweep", "--q", "1/2", "--k", "1", "--n", "3..{}"], "n range"),
+    (["sweep", "--q", "1/2", "--k", "1", "--n", "3..5", "--n1", "fixed:{}"], "fixed n1 rule"),
+    (["decompose", "{measure}", "--k", "{}"], "k"),
+    (["random-measure", "--n", "{}", "--q", "1/2"], "n"),
+    (["random-measure", "--n", "4", "--q", "1/2", "--seed", "{}"], "seed"),
+    (["verify-all", "--max-n", "{}", "--q", "1/2"], "max-n"),
+]
+
+
+def int_argv(template, value, measure_path):
+    return [a.replace("{}", value).replace("{measure}", str(measure_path)) for a in template]
+
+
+def test_integer_arguments_take_one_grammar(tmp_path, capsys):
+    # the integer form of the measure files' fraction strings, -?[0-9]+ in
+    # ASCII digits: no other digits, no digit separators, no plus, no blanks
+    path = tmp_path / "m.json"
+    path.write_text(random_q_exch(4, HALF, 0).to_json())
+    for template, what in INT_ARGS:
+        assert run_cli(capsys, *int_argv(template, "3", path))[0] == 0, template
+        for bad in ("\u0664", "\uff13", "1_0", "+3", " 3", "3 ", "3/1", "0x3", ""):
+            code, out, err = run_cli(capsys, *int_argv(template, bad, path))
+            assert (code, out) == (2, ""), (template, bad)
+            assert err.startswith(f"error: cannot parse {what}: expected an integer"), (template, bad)
+    # a negative value is read, and the command's own check decides
+    assert run_cli(capsys, "qbinom", "4", "-1", "--q", "1/2") == (
+        2, "", "error: need 0 <= k <= n, got n=4, k=-1\n"
+    )
+    assert run_cli(capsys, "random-measure", "--n", "-1", "--q", "1/2") == (
+        2, "", "error: n must be in 0..1000, got -1\n"
+    )
 
 
 def test_display_float_past_the_float_range(capsys):
@@ -283,6 +323,18 @@ def test_sweep_violation_row(monkeypatch, capsys):
     lines = out.strip().split("\n")
     assert lines[-1].startswith("VIOLATION,")
     assert len(lines) == 6  # header + 4 rows + violation marker
+    code, out, _ = run_cli(
+        capsys, "sweep", "--q", "1/2", "--k", "1", "--n", "1..4", "--n1", "equal", "--format", "table"
+    )
+    assert code == 1
+    assert out == (  # the violation marker's cells are padded to the columns above them
+        "n          k    n1    q    distance    upper  lower    dist_over_qn\n"
+        "1          1    1     1/2  1           0      0.25     2           \n"
+        "2          1    2     1/2  0.5         0      0.125    2           \n"
+        "3          1    3     1/2  0.25        0      0.0625   2           \n"
+        "4          1    4     1/2  0.125       0      0.03125  2           \n"
+        "VIOLATION  n=1  n1=1  k=1  distance=1\n"
+    )
 
 
 def test_sweep_fixed_rule_out_of_range(capsys):
@@ -399,6 +451,11 @@ def test_random_measure_stdout(capsys):
     code, out, _ = run_cli(capsys, "random-measure", "--n", "3", "--q", "1/3", "--seed", "7")
     assert code == 0
     assert QExchMeasure.from_json(out) == random_q_exch(3, Fraction(1, 3), 7)
+    # a negative seed is an integer like any other
+    assert run_cli(capsys, "random-measure", "--n", "4", "--q", "1/2", "--seed", "-1") == (0, (
+        '{"n": 4, "q": "1/2", "base": ["140891/3268452", "132634/1361855", '
+        '"3554392/28598955", "336494/2451339", "800875/3268452"]}\n'
+    ), "")
 
 
 def test_random_measure_writes_only_files_decompose_reads(tmp_path, capsys):
@@ -804,8 +861,9 @@ def test_exit_codes_keep_their_meaning(case):
     # 0 ok, 1 a failed mathematical check (reported on stdout), 2 bad usage or input
     argv, measure_text = case
     out = io.StringIO()
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(err):
         if measure_text is not None:
             path = Path(tmp) / argv[1]
             path.write_text(measure_text)
@@ -815,5 +873,39 @@ def test_exit_codes_keep_their_meaning(case):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+    assert all(len(line) <= 200 for line in err.getvalue().splitlines())
     if code == 1:
         assert {"FAIL", "VIOLATION"} & set(re.split(r"[\s,]+", out.getvalue()))
+
+
+@pytest.mark.parametrize("argv, measure_text, head, length", [
+    # a value read as an int but past the size limit
+    (["distance", "--n", HUGE, "--n1", "0", "--k", "3", "--q", "2/3"], None,
+     "error: n must be at most 1000, got 999", 4035),
+    # more digits than an int is read with: a short line at once
+    (["distance", "--n", "9" * 5000, "--n1", "0", "--k", "3", "--q", "2/3"], None,
+     "error: cannot parse n: an integer has more than", None),
+    (["decompose", "{measure}", "--k", "0"], json.dumps({"n": 0, "q": "1/2", "base": ["x" * 100_000]}),
+     "error: malformed measure record: expected a fraction string", 100_078),
+    (["sweep", "--q", "1/2", "--k", "1", "--n", "1..3", "--n1", "x" * 100_000], None,
+     "error: unknown n1 rule 'xxx", 100_070),
+    (["sweep", "--q", "1/2", "--k", "1", "--n", "1..3", "--format", "x" * 300], None,
+     "qexchange sweep: error: argument --format: invalid choice: 'xxx", None),
+], ids=["huge-n", "long-n", "long-scalar", "long-n1-rule", "long-format"])
+def test_error_lines_are_clipped(tmp_path, capsys, argv, measure_text, head, length):
+    # no error line echoes a huge value: past 200 characters it is clipped, and
+    # the note names its full length (a 300-character --format is cut as well)
+    path = tmp_path / "m.json"
+    if measure_text is not None:
+        path.write_text(measure_text)
+    try:
+        code = main([a.replace("{measure}", str(path)) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert all(len(line) <= 200 for line in err.splitlines())
+    last = err.splitlines()[-1]
+    assert last.startswith(head)
+    if length is not None:
+        assert re.search(r"\.\.\. \((\d+) characters\)$", last).group(1) == str(length)

@@ -154,7 +154,7 @@ def test_distance_matches_closed_form_level_sum():
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
 @pytest.mark.parametrize("n", [64, 200])
-def test_level_gaps_against_binomial_ratio(n, q):
+def test_level_sums_against_binomial_ratio(n, q):
     # the Pochhammer-ratio level sums of a point mass against
     # [n - k, n1 - k1]_q / [n, n1]_q from product-formula rows, corners
     # (n1 < k1 or n1 - k1 > n - k) included, with the q-Bernoulli term
