@@ -58,9 +58,7 @@ class DistanceReport(_Record):
 
     @property
     def bounds_ok(self) -> bool:
-        if self.distance > self.upper:
-            return False
-        return self.lower is None or self.lower <= self.distance
+        return self.distance <= self.upper and (self.lower is None or self.lower <= self.distance)
 
     @property
     def dist_over_qn(self) -> Fraction:

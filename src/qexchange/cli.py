@@ -311,6 +311,12 @@ class _Parser(argparse.ArgumentParser):
         if message:
             _emit(message, stream="stderr" if file is sys.stderr else "stdout")
 
+    def _parse_optional(self, arg_string):
+        # a dash and a digit start a value, as in the range -3..5, never an option
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -372,6 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 after a usage error
+        return exc.code
     except _UsageError as exc:
         with contextlib.suppress(_UsageError):  # a full stderr was discarded
             _emit(f"error: {exc}\n", stream="stderr")

@@ -16,8 +16,8 @@ The extreme-vs-Bernoulli distance has a closed form over target levels:
 which equals the total variation of the two k-dimensional pushforwards; its
 first term is the level-``k1`` mass of the projected ``extreme(n, n1)``.  A
 k-projection is the alpha-mix of the extremes' projections, so one integer
-alpha-mix of the level terms serves ``D`` (a point mass), ``approx_error`` and
-``projection.project``.  The binomial ratio is a ratio of q-Pochhammer products,
+alpha-mix of the level terms serves ``D`` (a point mass) and ``approx_error``.
+The binomial ratio is a ratio of q-Pochhammer products,
 
     [n - k, n1 - k1]_q / [n, n1]_q
         = (q^n1; 1/q)_k1 (q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k,
@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .qcore import check_q, q_binomial_numerator
-from .measures import MixingMeasure, QExchMeasure, q_bernoulli
+from .measures import MixingMeasure, QExchMeasure, _q_bernoulli_base
 
 _Masses = list[tuple[int, Fraction | int]]  # (n1, alpha) for the levels with mass, n1 increasing
 
@@ -54,36 +54,25 @@ def mixture(mu: MixingMeasure, n: int) -> QExchMeasure:
     """Mix the q-Bernoulli measures ``x = q^i`` on ``{0,1}^n`` by ``mu``.
 
     Combination happens on base vectors, which are closed under convex
-    combination, so the result stays exact at any n.
+    combination, so the result stays exact at any n, and is validated once.
     """
     if n < mu.n:
         raise ValueError(f"mixing measure uses exponents up to {mu.n}, cannot mix on n={n}")
     base = [Fraction(0)] * (n + 1)
     for i, weight in enumerate(mu.alpha):
-        if weight == 0:
-            continue
-        component = q_bernoulli(n, i, mu.q)
-        for j in range(n + 1):
-            base[j] += weight * component.base[j]
+        if weight:
+            for j, x in enumerate(_q_bernoulli_base(n, i, mu.q)):
+                base[j] += weight * x
     return QExchMeasure(n, mu.q, tuple(base))
 
 
-def _level_masses(m: QExchMeasure, k: int) -> _Masses:
-    """The ``(n1, alpha)`` pairs of ``m``'s levels with mass, once ``k`` is checked."""
-    if not 0 <= k <= m.n:
-        raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
-    return [(n1, alpha) for n1 in range(m.n + 1) if (alpha := m.level_mass(n1))]
-
-
-def _level_sums(
-    n: int, k: int, q: Fraction, masses: _Masses, *, bernoulli: bool
-) -> tuple[list[int], int, int]:
+def _level_sums(n: int, k: int, q: Fraction, masses: _Masses) -> tuple[list[int], int, int]:
     """The alpha-mix ``sum_n1 alpha_n1 g_n1[k1]`` over the ``(n1, alpha)``
     pairs of ``masses`` (increasing ``n1``), of the level masses ``g_n1`` of
-    the k-projection of ``extreme(n, n1)``, minus those of the q-Bernoulli
-    measure at ``x = q^n1`` if ``bernoulli``: the sums of levels
-    ``k1 = low..k``, the sum of the absolute values of the levels below
-    ``low``, and their one denominator, all ints.
+    the k-projection of ``extreme(n, n1)`` minus those of the q-Bernoulli
+    measure at ``x = q^n1``: the sums of levels ``k1 = low..k``, the sum of
+    the absolute values of the levels below ``low``, and their one
+    denominator, all ints.
 
     With ``q = a/b`` and ``F_j = b^j - a^j``, each product of the
     Pochhammer-ratio identity (module docstring) is an integer over a power of
@@ -105,15 +94,15 @@ def _level_sums(
     depend on ``n1``, ``N(k, k1) b^(k1 (k1 - 1) / 2)`` and ``a^e`` at the
     lowest ``n1`` that reaches level ``k1``, is multiplied into each sum once,
     after the loop, so a point mass still takes one large product per level.
-    Below ``low = k - (n - bottom)`` (``low = 0`` without ``bernoulli``) every
-    term is the q-Bernoulli one alone, ``-N(k, k1) a^e P_k1 / b^t``: those
-    sums are taken over ``L b^(top k)``, without ``Q_k``, and their absolute
-    sum is brought to the common denominator by one product.  A point mass
-    ``[(n1, 1)]`` has ``L = 1`` and weight 1, so its sums are its terms.
+    Below ``low = k - (n - bottom)`` every term is the q-Bernoulli one alone,
+    ``-N(k, k1) a^e P_k1 / b^t``: those sums are taken over ``L b^(top k)``,
+    without ``Q_k``, and their absolute sum is brought to the common
+    denominator by one product.  A point mass ``[(n1, 1)]`` has ``L = 1`` and
+    weight 1, so its sums are its terms.
     """
     a, b = q.numerator, q.denominator
     bottom, top = masses[0][0], masses[-1][0]
-    low = max(k - n + bottom, 0) if bernoulli else 0
+    low = max(k - n + bottom, 0)
     # F_j for the j that P (levels bottom..top), R and Q_k read, so that one
     # level costs O(k) factors, not O(n); 0 elsewhere, where only products
     # that are already 0 or the last, unused update of a running product read
@@ -126,7 +115,6 @@ def _level_sums(
         factors[j] = b**j - a**j
     whole = math.prod(factors[n - j] for j in range(k))  # Q_k
     s_whole = n * k - k * (k - 1) // 2  # sQ
-    minus = whole if bernoulli else 0
     lcm = math.lcm(*(alpha.denominator for _, alpha in masses))
     levels = [0] * (k + 1)
     for n1, alpha in masses:
@@ -141,7 +129,7 @@ def _level_sums(
         # P_k1 times the level's weight, padded to b^(top k)
         poch = alpha.numerator * (lcm // alpha.denominator) * b ** ((top - n1) * k)
         for k1 in range(high + 1):
-            if x := poch if k1 < low else poch * (rests[high - k1] - minus):
+            if x := poch if k1 < low else poch * (rests[high - k1] - whole):
                 levels[k1] += a ** ((n1 - max(bottom, k1)) * (k - k1)) * x
             poch *= factors[n1 - k1]
     for k1, x in enumerate(levels):
@@ -153,7 +141,7 @@ def _level_sums(
 
 def _distance(n: int, k: int, q: Fraction, masses: _Masses) -> Fraction:
     """The TV distance: the absolute sum of the :func:`_level_sums` levels, in one Fraction."""
-    levels, below, d = _level_sums(n, k, q, masses, bernoulli=True)
+    levels, below, d = _level_sums(n, k, q, masses)
     return Fraction(sum(map(abs, levels)) + below, d)
 
 
@@ -169,4 +157,7 @@ def extreme_vs_bernoulli_distance(n: int, n1: int, k: int, q: Fraction) -> Fract
 def approx_error(m: QExchMeasure, k: int) -> Fraction:
     """TV distance between the k-projections of ``m`` and of its canonical
     q-Bernoulli mixture: :func:`_distance` over the level masses of ``m``."""
-    return _distance(m.n, k, m.q, _level_masses(m, k))
+    if not 0 <= k <= m.n:
+        raise ValueError(f"need 0 <= k <= n = {m.n}, got k={k}")
+    masses = [(n1, alpha) for n1 in range(m.n + 1) if (alpha := m.level_mass(n1))]
+    return _distance(m.n, k, m.q, masses)

@@ -90,11 +90,7 @@ class _LevelRecord(_Record):
         return levels
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": str(self.q),
-            self._key: [str(x) for x in getattr(self, self._key)],
-        }
+        return {"n": self.n, "q": str(self.q), self._key: [str(x) for x in getattr(self, self._key)]}
 
     def to_json(self) -> str:
         import json
@@ -228,15 +224,16 @@ def q_bernoulli(n: int, exponent: int, q: Fraction) -> QExchMeasure:
         raise ValueError(f"n must be >= 0, got {n}")
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    base = []
-    poch = Fraction(1)
-    for j in range(n + 1):
-        if j > exponent:
-            base.append(Fraction(0))
-            continue
-        base.append(q ** ((exponent - j) * (n - j)) * poch)
+    return QExchMeasure(n, q, _q_bernoulli_base(n, exponent, q))
+
+
+def _q_bernoulli_base(n: int, exponent: int, q: Fraction) -> tuple[Fraction, ...]:
+    """The block values of :func:`q_bernoulli`, unchecked and unvalidated."""
+    base, poch = [Fraction(0)] * (n + 1), Fraction(1)
+    for j in range(min(n, exponent) + 1):
+        base[j] = q ** ((exponent - j) * (n - j)) * poch
         poch *= 1 - q ** (exponent - j)
-    return QExchMeasure(n, q, tuple(base))
+    return tuple(base)
 
 
 def random_q_exch(n: int, q: Fraction, seed: int) -> QExchMeasure:

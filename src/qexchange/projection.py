@@ -1,13 +1,21 @@
 """Leading-coordinate projections and total-variation distance.
 
 Projecting a q-exchangeable measure onto its first ``k`` coordinates yields a
-q-exchangeable measure again, so the pushforward stays in compact form: the
-mix of the projected extreme measures by the level masses, whose level sums
-:func:`project` takes from the integer level sum in ``definetti``.  The two
-closed forms give the block values of a projected extreme and q-Bernoulli
-measure; the latter's factor ``(q^n1; 1/q)_k1`` is :func:`q_pochhammer`.  They
-differ by one ratio of Pochhammer products, since the binomial ratio in the
-extreme block value is itself one:
+q-exchangeable measure again, so the pushforward stays in compact form.
+:func:`project` sums out the last coordinate ``n - k`` times: a length-``L``
+measure loses its last bit as ``base'[j] = base[j] + q^(L-1-j) base[j+1]``,
+which on the level masses ``alpha_j = base[j] [L, j]_q`` reads, with
+``q = a/b`` and ``F_j = b^j - a^j`` (so ``1 - q^j = F_j / b^j``),
+
+    alpha'_j = (alpha_j b^j F_(L-j) + alpha_(j+1) a^(L-1-j) F_(j+1)) / F_L,
+
+by ``[L-1, j]_q / [L, j]_q = (1 - q^(L-j)) / (1 - q^L)`` and
+``[L-1, j]_q / [L, j+1]_q = (1 - q^(j+1)) / (1 - q^L)``.
+
+The two closed forms give the block values of a projected extreme and
+q-Bernoulli measure; the latter's factor ``(q^n1; 1/q)_k1`` is
+:func:`q_pochhammer`.  They differ by one ratio of Pochhammer products, since
+the binomial ratio in the extreme block value is itself one:
 
     [n - k, n1 - k1]_q / [n, n1]_q
         = (q^n1; 1/q)_k1 (q^(n-n1); 1/q)_(k-k1) / (q^n; 1/q)_k.
@@ -26,20 +34,28 @@ from fractions import Fraction
 
 from .qcore import check_q, q_binomial_numerator, q_pochhammer
 from .measures import DenseMeasure, QExchMeasure, _over_lcm, to_dense
-from .definetti import _level_masses, _level_sums
 
 Measure = QExchMeasure | DenseMeasure
 
 
 def project(m: QExchMeasure, k: int) -> QExchMeasure:
-    """Pushforward of ``m`` onto its first ``k`` coordinates: each level sum of
-    :func:`_level_sums` over ``m``'s level masses divided by ``[k, k1]_q``."""
-    if k == m.n:
+    """Pushforward of ``m`` onto its first ``k`` coordinates: ``n - k`` steps of the
+    module docstring in ints over one denominator, then each level over ``[k, j]_q``."""
+    n, a, b = m.n, m.q.numerator, m.q.denominator
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n = {n}, got k={k}")
+    if k == n:
         return m
-    levels, _, d = _level_sums(m.n, k, m.q, _level_masses(m, k), bernoulli=False)
-    b, g = m.q.denominator, math.gcd(d, *levels)  # most of d is common to every level
-    base = [Fraction(x // g * b ** (k1 * (k - k1)), d // g * q_binomial_numerator(k, k1, m.q))
-            for k1, x in enumerate(levels)]
+    pa, pb = [a**i for i in range(n + 1)], [b**i for i in range(n + 1)]
+    f = [y - x for x, y in zip(pa, pb)]  # F_i
+    alpha, d = _over_lcm([m.level_mass(j) for j in range(n + 1)])
+    for L in range(n, k, -1):
+        alpha = [x * (pb[j] * f[L - j]) + y * (pa[L - 1 - j] * f[j + 1])
+                 for j, (x, y) in enumerate(zip(alpha, alpha[1:]))]
+        d *= f[L]
+    g = math.gcd(d, *alpha)  # most of d is common to every level
+    base = [Fraction(x // g * b ** (j * (k - j)), d // g * q_binomial_numerator(k, j, m.q))
+            for j, x in enumerate(alpha)]
     return QExchMeasure(k, m.q, tuple(base))
 
 

@@ -204,12 +204,7 @@ def q_int(n: int, q: Fraction) -> Fraction:
     _fraction_parts(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    total = Fraction(0)
-    power = Fraction(1)
-    for _ in range(n):
-        total += power
-        power *= q
-    return total
+    return sum((q**i for i in range(n)), Fraction(0))
 
 
 def q_factorial(n: int, q: Fraction) -> Fraction:

@@ -209,11 +209,6 @@ def suite_decomposition(max_n: int, qs: Sequence[Fraction]) -> SuiteResult:
 
 
 def run_all(max_n: int, qs: Sequence[Fraction]) -> list[SuiteResult]:
-    return [
-        suite_qbinom(max_n, qs),
-        suite_exchangeability(max_n, qs),
-        suite_projection(max_n, qs),
-        suite_upper_bound(max_n, qs),
-        suite_sharpness(max_n, qs),
-        suite_decomposition(max_n, qs),
-    ]
+    suites = (suite_qbinom, suite_exchangeability, suite_projection, suite_upper_bound, suite_sharpness,
+              suite_decomposition)
+    return [suite(max_n, qs) for suite in suites]

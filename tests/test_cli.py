@@ -230,6 +230,10 @@ def test_sweep_empty_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "--q", "1/2", "--k", "1", "--n", "5..3", "--n1", "equal")
     assert code == 2
     assert "empty" in err
+    # a negative start is the range's fault, after a space as after an =
+    for n_range in (["--n", "-3..5"], ["--n=-3..5"]):
+        code, out, err = run_cli(capsys, "sweep", "--q", "1/2", "--k", "1", *n_range)
+        assert (code, out, err) == (2, "", "error: n must be at least k = 1, got -3\n"), n_range
 
 
 def test_sweep_fit_slope(capsys):
@@ -252,9 +256,7 @@ def test_sweep_rejects_decimal_q(capsys):
 
 
 def test_sweep_rejects_mode_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--q", "1/2", "--k", "2", "--n", "60..70", "--n1", "half", "--mode", "float"])
-    assert excinfo.value.code == 2
+    assert main(["sweep", "--q", "1/2", "--k", "2", "--n", "60..70", "--n1", "half", "--mode", "float"]) == 2
     assert "--mode" in capsys.readouterr().err
 
 
@@ -868,10 +870,7 @@ def test_exit_codes_keep_their_meaning(case):
             path = Path(tmp) / argv[1]
             path.write_text(measure_text)
             argv = [argv[0], str(path), *argv[2:]]
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2)
     assert all(len(line) <= 200 for line in err.getvalue().splitlines())
     if code == 1:
@@ -898,10 +897,7 @@ def test_error_lines_are_clipped(tmp_path, capsys, argv, measure_text, head, len
     path = tmp_path / "m.json"
     if measure_text is not None:
         path.write_text(measure_text)
-    try:
-        code = main([a.replace("{measure}", str(path)) for a in argv])
-    except SystemExit as exc:
-        code = exc.code
+    code = main([a.replace("{measure}", str(path)) for a in argv])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert all(len(line) <= 200 for line in err.splitlines())

@@ -158,24 +158,20 @@ def test_level_sums_against_binomial_ratio(n, q):
     # the Pochhammer-ratio level sums of a point mass against
     # [n - k, n1 - k1]_q / [n, n1]_q from product-formula rows, corners
     # (n1 < k1 or n1 - k1 > n - k) included, with the q-Bernoulli term
-    # subtracted (the distances) and left out (project); below level
-    # low = k - (n - n1) the distances get one absolute sum
+    # subtracted; below level low = k - (n - n1) they get one absolute sum
     whole = q_binomial_row(n, q)
     for k in (0, 1, 4, 12):
         inner, small = q_binomial_row(n - k, q), q_binomial_row(k, q)
         for n1 in sorted({0, 1, k - 1, k, n // 2, n - k, n - k + 1, n - 1, n} & set(range(n + 1))):
-            extreme, gap = [], []
+            gap = []
             for k1 in range(k + 1):
                 ratio = inner[n1 - k1] / whole[n1] if 0 <= n1 - k1 <= n - k else 0
                 bernoulli = math.prod(1 - q ** (n1 - i) for i in range(k1))
-                weight = small[k1] * q ** ((n1 - k1) * (k - k1))
-                extreme.append(weight * ratio)
-                gap.append(weight * (ratio - bernoulli))
-            for subtract, expected in ((True, gap), (False, extreme)):
-                levels, below, d = _level_sums(n, k, q, [(n1, 1)], bernoulli=subtract)
-                low = max(k - n + n1, 0) if subtract else 0
-                assert [Fraction(g, d) for g in levels] == expected[low:], (k, n1, subtract)
-                assert Fraction(below, d) == sum(map(abs, expected[:low])), (k, n1, subtract)
+                gap.append(small[k1] * q ** ((n1 - k1) * (k - k1)) * (ratio - bernoulli))
+            levels, below, d = _level_sums(n, k, q, [(n1, 1)])
+            low = max(k - n + n1, 0)
+            assert [Fraction(g, d) for g in levels] == gap[low:], (k, n1)
+            assert Fraction(below, d) == sum(map(abs, gap[:low])), (k, n1)
 
 
 def test_distance_preconditions():

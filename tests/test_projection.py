@@ -1,3 +1,5 @@
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from qexchange import (
     to_dense,
     tv_distance,
 )
+from qexchange.cli import _exact_digits
 from oracles import dense_projection_table, suffix_sum_project, tv_by_subsets
 
 HALF = Fraction(1, 2)
@@ -70,6 +73,19 @@ def test_project_matches_level_suffix_sum_past_dense_tables(n, q):
     for i, m in enumerate(measures):
         for k in (0, 1, 4, n - 1):
             assert project(m, k) == suffix_sum_project(m, k), (i, k)
+    for k in (n // 2, 3 * n // 4):  # the middle, where the recurrence takes the most steps
+        assert project(measures[0], k) == suffix_sum_project(measures[0], k), k
+
+
+def test_project_at_n300_keeps_its_digest():
+    # the pushforward of the level-sum kernel, byte for byte: the kernel took
+    # about 40 s on 2 vCPUs, summing out one coordinate at a time about 2.5 s
+    start = time.monotonic()
+    p = project(random_q_exch(300, Fraction(2, 3), 0), 150)
+    assert time.monotonic() - start < 20
+    with _exact_digits():  # entries of more than the 4300 digits str() allows
+        got = hashlib.sha256("".join(f"{x}\n" for x in p.base).encode()).hexdigest()
+    assert got == "0ee5a38dab078a9ec6d22cd8dce81fa14a2a887f35d3f8b3a76e8fa750c95bc3"
 
 
 def test_project_composes():

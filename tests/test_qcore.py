@@ -336,7 +336,7 @@ def test_zero_base_values_read_no_binomial(cold_cache):
 
 
 def test_project_reads_no_suffix_row(cold_cache):
-    # the level sums mix rows n (the level masses) and k; row n - k, which
+    # the recurrence reads rows n (the level masses) and k; row n - k, which
     # a suffix sum over [n - k, j - k1]_q would read, is never built
     m = random_q_exch(150, Fraction(2, 3), 0)
     project(m, 4)
